@@ -25,6 +25,7 @@ __all__ = [
     "CSV_COLUMNS",
     "emit_report",
     "read_report_csv",
+    "report_fields",
     "run_benchmark",
 ]
 
@@ -157,6 +158,18 @@ def run_benchmark(
     return BenchmarkMatrix(rows, _count_wins(rows, config.schemes))
 
 
+def report_fields(report: EvaluationReport) -> dict[str, object]:
+    """The ``alpha_chosen`` through ``total`` fields every rendering shares."""
+    return {
+        "alpha_chosen": report.alpha,
+        "m": report.m,
+        "train_error": report.train_error,
+        "test_error": report.test_error,
+        "misclassified": report.misclassified,
+        "total": report.total,
+    }
+
+
 def _ordered_reports(row: BenchmarkRow) -> list[tuple[str, EvaluationReport]]:
     return [(scheme, row.reports[scheme]) for scheme in SCHEMES if scheme in row.reports] + [
         (scheme, report)
@@ -172,19 +185,9 @@ def _emit_csv(matrix: BenchmarkMatrix) -> str:
     for row in matrix.rows:
         best = matrix.row_min(row)
         for scheme, report in _ordered_reports(row):
-            writer.writerow(
-                [
-                    row.dataset,
-                    scheme,
-                    report.alpha,
-                    report.m,
-                    repr(report.train_error),
-                    repr(report.test_error),
-                    report.misclassified,
-                    report.total,
-                    "true" if report.test_error == best else "false",
-                ]
-            )
+            fields = [repr(v) if isinstance(v, float) else v for v in report_fields(report).values()]
+            writer.writerow([row.dataset, scheme, *fields,
+                             "true" if report.test_error == best else "false"])
     return out.getvalue()
 
 
@@ -199,15 +202,7 @@ def _emit_json(matrix: BenchmarkMatrix) -> str:
             {
                 "dataset": row.dataset,
                 "schemes": {
-                    scheme: {
-                        "alpha_chosen": report.alpha,
-                        "m": report.m,
-                        "train_error": report.train_error,
-                        "test_error": report.test_error,
-                        "misclassified": report.misclassified,
-                        "total": report.total,
-                        "is_row_min": report.test_error == best,
-                    }
+                    scheme: {**report_fields(report), "is_row_min": report.test_error == best}
                     for scheme, report in _ordered_reports(row)
                 },
             }

@@ -105,10 +105,6 @@ class EvaluationReport:
     total: int
 
 
-def _word_rows(words: Sequence[SaxWord]) -> np.ndarray:
-    return np.stack([w.symbols for w in words])
-
-
 def nn1(query: SaxWord, train_words: Sequence[tuple[SaxWord, int]], table: AlphabetTable) -> int:
     """Label of the training word closest to ``query``.
 
@@ -118,7 +114,7 @@ def nn1(query: SaxWord, train_words: Sequence[tuple[SaxWord, int]], table: Alpha
         raise ValueError("training set is empty")
     for word, _ in train_words:
         _check_compatible(query, word, table)
-    rows = _word_rows([w for w, _ in train_words])
+    rows = np.stack([w.symbols for w, _ in train_words])
     labels = np.array([label for _, label in train_words], dtype=np.int64)
     d2 = _dist_sq_matrix(query.symbols[None, :], rows, table.pair_dist**2)[0]
     return int(labels[int(np.argmin(d2))])
@@ -166,7 +162,8 @@ def _normalized_alphabet_range(alphabet_range: Iterable[int]) -> list[int]:
 
 
 def _tune(train: LabeledDataset, scheme: str, m: int, alphabet_range: Iterable[int],
-          policy: str) -> tuple[TunedModel, float]:
+          policy: str) -> tuple[TunedModel, float, np.ndarray]:
+    """Tuned model, its leave-one-out error, and the training symbol rows."""
     if len(train) < 2:
         raise ValueError("tuning needs at least 2 training instances")
     alphas = _normalized_alphabet_range(alphabet_range)
@@ -187,7 +184,7 @@ def _tune(train: LabeledDataset, scheme: str, m: int, alphabet_range: Iterable[i
         for row, label in zip(best_rows, train.labels)
     )
     model = TunedModel(scheme, m, best_alpha, words, best_table)
-    return model, best_error
+    return model, best_error, best_rows
 
 
 def tune_alphabet(train: LabeledDataset, scheme: str, m: int,
@@ -198,7 +195,7 @@ def tune_alphabet(train: LabeledDataset, scheme: str, m: int,
     The sweep shares one aggregation pass across all candidate sizes and
     resolves ties toward the smallest alphabet.
     """
-    model, _ = _tune(train, scheme, m, alphabet_range, policy)
+    model, _, _ = _tune(train, scheme, m, alphabet_range, policy)
     return model
 
 
@@ -208,13 +205,11 @@ def evaluate(train: LabeledDataset, test: LabeledDataset, scheme: str, m: int,
     """Tune on the training split, then score 1NN accuracy on the test split."""
     if train.n != test.n:
         raise ValueError(f"train and test series lengths differ: {train.n} vs {test.n}")
-    model, train_error = _tune(train, scheme, m, alphabet_range, policy)
+    model, train_error, train_rows = _tune(train, scheme, m, alphabet_range, policy)
     seg = segment(scheme, test.n, m, policy)
     test_rows = _symbol_matrix(_paa_matrix(test.series, seg), model.table)
-    train_rows = _word_rows([w for w, _ in model.train_words])
-    train_labels = np.array([label for _, label in model.train_words], dtype=np.int64)
     d2 = _dist_sq_matrix(test_rows, train_rows, model.table.pair_dist**2)
-    predicted = train_labels[np.argmin(d2, axis=1)]
+    predicted = train.labels[np.argmin(d2, axis=1)]
     misclassified = int((predicted != test.labels).sum())
     total = len(test)
     return EvaluationReport(

@@ -23,6 +23,7 @@ from trendsax.benchmark import (
     BenchmarkConfig,
     REPORT_FORMATS,
     emit_report,
+    report_fields,
     run_benchmark,
 )
 from trendsax.classify import DEFAULT_ALPHABET_RANGE, evaluate
@@ -82,12 +83,6 @@ def _single_scheme_from(arg: str) -> str:
     return schemes[0]
 
 
-def _word_count_for(args: argparse.Namespace, n: int) -> int:
-    if args.word_count is not None:
-        return args.word_count
-    return max(1, n // args.ratio)
-
-
 def _write_output(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -97,8 +92,9 @@ def _write_output(text: str, out: str | None) -> None:
 
 def _cmd_convert(args: argparse.Namespace) -> int:
     scheme = _single_scheme_from(args.scheme)
+    lengths = BenchmarkConfig(word_count=args.word_count, ratio=args.ratio)
     data = load_ucr(args.file)
-    m = _word_count_for(args, data.n)
+    m = lengths.word_count_for(data.n)
     seg = segment(scheme, data.n, m, args.policy)
     table = make_alphabet_table(args.alphabet)
     records = []
@@ -123,7 +119,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 def _cmd_verify_bound(args: argparse.Namespace) -> int:
     schemes = _schemes_from(args.scheme)
     rng = np.random.default_rng(args.seed)
-    m = _word_count_for(args, args.length)
+    m = BenchmarkConfig(word_count=args.word_count, ratio=args.ratio).word_count_for(args.length)
     checked = 0
     violations = 0
     worst = float("inf")
@@ -145,27 +141,15 @@ def _cmd_verify_bound(args: argparse.Namespace) -> int:
     return 0 if violations == 0 else 1
 
 
-def _report_dict(report) -> dict[str, object]:
-    return {
-        "dataset": report.dataset,
-        "scheme": report.scheme,
-        "alpha_chosen": report.alpha,
-        "m": report.m,
-        "train_error": report.train_error,
-        "test_error": report.test_error,
-        "misclassified": report.misclassified,
-        "total": report.total,
-    }
-
-
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     scheme = _single_scheme_from(args.scheme)
+    lengths = BenchmarkConfig(word_count=args.word_count, ratio=args.ratio)
     pair = load_dataset_pair(args.dataset)
-    m = _word_count_for(args, pair.train.n)
+    m = lengths.word_count_for(pair.train.n)
     report = evaluate(pair.train, pair.test, scheme, m,
                       alphabet_range=args.alphabet_range, policy=args.policy,
                       dataset=pair.name)
-    record = _report_dict(report)
+    record = {"dataset": report.dataset, "scheme": report.scheme, **report_fields(report)}
     if args.format == "json":
         text = json.dumps(record, indent=2) + "\n"
     elif args.format == "csv":
@@ -197,7 +181,6 @@ def _discover_pairs(paths: list[str]) -> list[DatasetPair]:
 
 
 def _cmd_benchmark(args: argparse.Namespace) -> int:
-    pairs = _discover_pairs(args.datasets)
     config = BenchmarkConfig(
         schemes=_schemes_from(args.scheme),
         alphabet_range=args.alphabet_range,
@@ -206,7 +189,7 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
         policy=args.policy,
         jobs=args.jobs,
     )
-    matrix = run_benchmark(pairs, config)
+    matrix = run_benchmark(_discover_pairs(args.datasets), config)
     _write_output(emit_report(matrix, args.format), args.out)
     if any(row.error is not None for row in matrix.rows):
         for row in matrix.rows:

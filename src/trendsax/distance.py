@@ -66,8 +66,8 @@ def mindist(s: SaxWord, t: SaxWord, table: AlphabetTable) -> float:
     equal or adjacent.
     """
     _check_compatible(s, t, table)
-    sq = table.pair_dist**2
-    d2 = _dist_sq_matrix(s.symbols[None, :], t.symbols[None, :], sq)[0, 0]
+    # cumsum adds the terms left to right, the same order as _dist_sq_matrix
+    d2 = np.cumsum(table.pair_dist[s.symbols, t.symbols] ** 2)[-1]
     return math.sqrt(s.source_length / s.m) * math.sqrt(d2)
 
 

@@ -12,12 +12,20 @@ points and 4 blocks they look like this:
     intertwine  {0,2,4,6}   {1,3,5,7}   {8,10,12,14}  {9,11,13,15}
     split       {0,1,4,5}   {2,3,6,7}   {8,9,12,13}   {10,11,14,15}
 
-``classic`` uses contiguous runs.  ``overlap`` swaps the two indices on
-either side of each interior block boundary, so every block reaches one
-point into each neighbour.  ``intertwine`` alternates single indices
-between paired blocks, and ``split`` alternates runs of two; both work on
-consecutive block pairs and therefore mix values over a span of ``2w``
-points, capturing local trend that contiguous averaging erases.
+Each layout is a fixed permutation of the classic one,
+``arange(m*w).reshape(m, w)``:
+
+* ``classic`` is the identity, and so is every scheme when ``w == 1`` or
+  ``m == 1``.
+* ``overlap`` swaps ``blocks[i, -1]`` with ``blocks[i+1, 0]``, so every
+  block reaches one point into each neighbour.
+* ``intertwine`` and ``split`` deal the ``2w``-point span of each block
+  pair to its two blocks in alternating runs of ``r`` indices, ``r = 1``
+  and ``r = 2`` respectively; the last ``2 * (w mod r)`` indices of the
+  span alternate singly.  An odd last block keeps its contiguous run.
+
+Mixing values over a span of ``2w`` points captures local trend that
+contiguous averaging erases.
 """
 
 from __future__ import annotations
@@ -71,88 +79,27 @@ class Segmentation:
         return self.n_effective // self.m
 
 
-def _classic(n_effective: int, m: int) -> np.ndarray:
-    return np.arange(n_effective, dtype=np.int64).reshape(m, -1)
-
-
-def _boundary_swap(blocks: np.ndarray) -> np.ndarray:
-    """Swap the last index of each block with the first index of the next.
-
-    Self-inverse: applying it twice restores the input.
-    """
-    out = blocks.copy()
-    tail = out[:-1, -1].copy()
-    out[:-1, -1] = out[1:, 0]
-    out[1:, 0] = tail
-    return out
-
-
-def _overlap(n_effective: int, m: int, w: int) -> np.ndarray:
-    blocks = _classic(n_effective, m)
-    if w == 1 or m == 1:
-        # single-index blocks have nothing to trade with their neighbours
-        return blocks
-    return _boundary_swap(blocks)
-
-
-def _intertwine(n_effective: int, m: int, w: int) -> np.ndarray:
-    blocks = np.empty((m, w), dtype=np.int64)
-    for pair in range(m // 2):
-        base = 2 * pair * w
-        blocks[2 * pair] = base + np.arange(0, 2 * w, 2)
-        blocks[2 * pair + 1] = base + np.arange(1, 2 * w, 2)
-    if m % 2:
-        blocks[-1] = np.arange((m - 1) * w, m * w)
-    return blocks
-
-
-def _split_pair(base: int, w: int) -> tuple[list[int], list[int]]:
-    """Distribute a span of 2w indices over two blocks in alternating runs of two."""
-    runs = [(base + 2 * r, base + 2 * r + 1) for r in range(w)]
-    first: list[int] = []
-    second: list[int] = []
-    if w % 2:
-        # odd block length: the last run is shared, one index to each block
-        *alternating, shared = runs
-    else:
-        alternating, shared = runs, None
-    for r, run in enumerate(alternating):
-        (first if r % 2 == 0 else second).extend(run)
-    if shared is not None:
-        first.append(shared[0])
-        second.append(shared[1])
-    return first, second
-
-
-def _split(n_effective: int, m: int, w: int) -> np.ndarray:
-    blocks = np.empty((m, w), dtype=np.int64)
-    for pair in range(m // 2):
-        first, second = _split_pair(2 * pair * w, w)
-        blocks[2 * pair] = first
-        blocks[2 * pair + 1] = second
-    if m % 2:
-        blocks[-1] = np.arange((m - 1) * w, m * w)
-    return blocks
+# run length in which the paired schemes deal a block pair's span
+_RUN_LENGTH = {"intertwine": 1, "split": 2}
 
 
 @lru_cache(maxsize=256)
 def _build(scheme: str, n: int, m: int, policy: str) -> Segmentation:
-    if policy == "strict":
-        if n % m:
-            raise ValueError(f"series length {n} is not divisible by m={m} under strict policy")
-        w = n // m
-    else:
-        w = n // m
-    n_effective = m * w
-    if scheme == "classic":
-        blocks = _classic(n_effective, m)
-    elif scheme == "overlap":
-        blocks = _overlap(n_effective, m, w)
-    elif scheme == "intertwine":
-        blocks = _intertwine(n_effective, m, w)
-    else:
-        blocks = _split(n_effective, m, w)
-    return Segmentation(scheme, n_effective, m, blocks)
+    if policy == "strict" and n % m:
+        raise ValueError(f"series length {n} is not divisible by m={m} under strict policy")
+    w = n // m
+    blocks = np.arange(m * w, dtype=np.int64).reshape(m, w)
+    if scheme == "overlap" and w > 1:
+        blocks[:-1, -1], blocks[1:, 0] = blocks[1:, 0].copy(), blocks[:-1, -1].copy()
+    elif scheme in _RUN_LENGTH:
+        # runs alternate between the pair's blocks; when w is odd under runs
+        # of two, the first block's extra index (2w - 1) spills into the
+        # second, so the span's last two indices alternate singly
+        owner = np.arange(2 * w) // _RUN_LENGTH[scheme] % 2
+        dealt = np.argsort(owner, kind="stable").reshape(2, w)
+        paired = m // 2 * 2
+        blocks[:paired] = (blocks[:paired:2, :1, None] + dealt).reshape(paired, w)
+    return Segmentation(scheme, m * w, m, blocks)
 
 
 def segment(scheme: str, n: int, m: int, policy: str = "truncate") -> Segmentation:

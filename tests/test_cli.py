@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -30,6 +31,16 @@ class TestParsing:
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["convert", "x.txt", "--no-such-flag"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag", [["--ratio", "0"], ["--ratio", "-3"], ["--word-count", "0"]])
+    def test_non_positive_word_length_fails_cleanly(self, flag, mini_dir, capsys):
+        expected = "error: word_count" if flag[0] == "--word-count" else "error: ratio"
+        for command in (["convert", str(mini_dir / "Mini_TRAIN.txt")], ["verify-bound"],
+                        ["evaluate", str(mini_dir)], ["benchmark", str(mini_dir)]):
+            code, out, err = run_cli(command + flag, capsys)
+            assert code == 1, command
+            assert out == ""
+            assert err == f"{expected} must be positive\n", command
 
     def test_word_count_and_ratio_are_exclusive(self):
         with pytest.raises(SystemExit) as exc:
@@ -200,6 +211,18 @@ class TestBenchmark:
         assert "error: Steps:" in err
         payload = json.loads(out)
         assert "Steps" in payload["errors"]
+
+    # sha256 of the fixture-suite report with default flags; a change to
+    # any of these is a change to the published report bytes
+    @pytest.mark.parametrize("fmt, digest", [
+        ("csv", "61ce06e74756d6acb05f7dfe514627ee22a3b728135bf290f13691af57ce6495"),
+        ("json", "19c4775390b9760c5e070937596eaf1bd1ccc188e6d46dc48e794413286aeafe"),
+        ("text", "bb356a92fe834fa3bb97a7585045c359b63f527fb09ef4144c78ce9ab7fecba0"),
+    ])
+    def test_suite_report_bytes_are_golden(self, fmt, digest, suite_dir, capsys):
+        code, out, _ = run_cli(["benchmark", str(suite_dir), "--format", fmt], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_text_format(self, mini_dir, capsys):
         code, out, _ = run_cli(

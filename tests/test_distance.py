@@ -10,6 +10,7 @@ import strategies
 from trendsax.core import PaaVector, SaxWord, make_alphabet_table, paa, symbolize, znormalize
 from trendsax.distance import (
     LOWER_BOUND_TOLERANCE,
+    _dist_sq_matrix,
     euclidean,
     mindist,
     verify_lower_bound,
@@ -72,6 +73,20 @@ class TestMindist:
             b = rng.integers(0, 6, size=m).tolist()
             got = mindist(word_of(a, 6, m * 4), word_of(b, 6, m * 4), table)
             assert got == oracles.mindist(a, b, ref_table, m * 4, m)
+
+    def test_equals_the_matrix_kernel_exactly(self):
+        # the scalar path and the batched kernel must sum in the same order
+        rng = np.random.default_rng(47)
+        for _ in range(500):
+            alpha = int(rng.integers(2, 27))
+            m = int(rng.integers(1, 200))
+            n = m * int(rng.integers(1, 5))
+            table = make_alphabet_table(alpha)
+            a = rng.integers(0, alpha, size=m)
+            b = rng.integers(0, alpha, size=m)
+            d2 = _dist_sq_matrix(a[None, :], b[None, :], table.pair_dist**2)[0, 0]
+            expected = math.sqrt(n / m) * math.sqrt(d2)
+            assert mindist(word_of(a, alpha, n), word_of(b, alpha, n), table) == expected
 
     def test_rejects_incompatible_words(self):
         t3, t4 = make_alphabet_table(3), make_alphabet_table(4)

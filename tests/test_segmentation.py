@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 import oracles
 import strategies
-from trendsax.segmentation import SCHEMES, Segmentation, segment
-from trendsax.segmentation import _boundary_swap, _classic
+from trendsax.segmentation import POLICIES, SCHEMES, Segmentation, segment
 
 
 class TestSchemePatterns:
@@ -105,11 +104,14 @@ class TestSegmentationType:
 
 def test_matches_reference_construction_on_grid():
     for scheme in SCHEMES:
-        for n in range(1, 41):
+        for n in range(1, 65):
             for m in range(1, n + 1):
-                got = segment(scheme, n, m).blocks
-                expected = [sorted(b) for b in oracles.segment_blocks(scheme, n, m)]
-                assert got.tolist() == expected, (scheme, n, m)
+                for policy in POLICIES:
+                    if policy == "strict" and n % m:
+                        continue
+                    got = segment(scheme, n, m, policy).blocks
+                    expected = [sorted(b) for b in oracles.segment_blocks(scheme, n, m, policy)]
+                    assert got.tolist() == expected, (scheme, n, m, policy)
 
 
 # ----------------------------------------------------------------- properties
@@ -126,15 +128,6 @@ def test_blocks_partition_index_range(config):
     np.testing.assert_array_equal(
         np.sort(seg.blocks, axis=None), np.arange(seg.n_effective)
     )
-
-
-@pytest.mark.properties
-@given(st.integers(1, 32), st.integers(2, 12))
-def test_boundary_swap_is_involution(m, w):
-    # w >= 2 keeps each block's first and last cells distinct; the overlap
-    # scheme falls back to classic at w == 1 and never swaps there
-    blocks = _classic(m * w, m)
-    np.testing.assert_array_equal(_boundary_swap(_boundary_swap(blocks)), blocks)
 
 
 @pytest.mark.properties
