@@ -130,6 +130,25 @@ def test_blocks_partition_index_range(config):
     )
 
 
+def _swap_boundaries(blocks):
+    swapped = blocks.copy()
+    swapped[:-1, -1], swapped[1:, 0] = blocks[1:, 0], blocks[:-1, -1]
+    return swapped
+
+
+@pytest.mark.properties
+@given(st.integers(1, 32), st.integers(2, 12))
+def test_boundary_swap_is_involution(m, w):
+    # w >= 2 keeps each block's first and last cells distinct; the overlap
+    # scheme falls back to classic at w == 1 and never swaps there.  Sorted
+    # overlap rows keep the swapped-in indices at the row ends, so one swap
+    # maps classic to overlap and a second maps it back.
+    classic = segment("classic", m * w, m).blocks
+    overlap = segment("overlap", m * w, m).blocks
+    np.testing.assert_array_equal(_swap_boundaries(classic), overlap)
+    np.testing.assert_array_equal(_swap_boundaries(overlap), classic)
+
+
 @pytest.mark.properties
 @given(st.integers(1, 48))
 def test_unit_width_blocks_equal_across_schemes(n):
