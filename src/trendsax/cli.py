@@ -117,6 +117,8 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_bound(args: argparse.Namespace) -> int:
+    if args.pairs < 1:
+        raise ValueError("pairs must be positive")
     schemes = _schemes_from(args.scheme)
     rng = np.random.default_rng(args.seed)
     m = BenchmarkConfig(word_count=args.word_count, ratio=args.ratio).word_count_for(args.length)

@@ -37,13 +37,21 @@ def euclidean(s, t) -> float:
 def _dist_sq_matrix(a: np.ndarray, b: np.ndarray, sq_pair: np.ndarray) -> np.ndarray:
     """Squared word distances (without the n/m factor) between symbol rows.
 
-    ``a`` is (A, m) and ``b`` is (B, m); returns (A, B).  Accumulates one
-    symbol position at a time so the summation order is fixed regardless
-    of batch shape.
+    ``a`` is (A, m) and ``b`` is (B, m); returns (A, B).  Each element adds
+    its m squared table entries left to right from the first position, so
+    a distance is the same whatever rows it is computed with.
+
+    Many rows: per position k, gather the alpha x B column block
+    ``sq_pair[:, b[:, k]]``, take its rows ``a[:, k]`` and add it into the
+    total, one position at a time.  One row (``nn1``, ``mindist``): the
+    last column of ``cumsum`` over the B x m gathered entries, which also
+    adds sequentially from the first term.
     """
+    if a.shape[0] == 1:
+        return np.cumsum(sq_pair[a[0], b], axis=1)[None, :, -1]
     out = np.zeros((a.shape[0], b.shape[0]), dtype=np.float64)
     for k in range(a.shape[1]):
-        out += sq_pair[np.ix_(a[:, k], b[:, k])]
+        out += sq_pair[:, b[:, k]][a[:, k]]
     return out
 
 
@@ -66,8 +74,7 @@ def mindist(s: SaxWord, t: SaxWord, table: AlphabetTable) -> float:
     equal or adjacent.
     """
     _check_compatible(s, t, table)
-    # cumsum adds the terms left to right, the same order as _dist_sq_matrix
-    d2 = np.cumsum(table.pair_dist[s.symbols, t.symbols] ** 2)[-1]
+    d2 = _dist_sq_matrix(s.symbols[None], t.symbols[None], table.pair_dist**2)[0, 0]
     return math.sqrt(s.source_length / s.m) * math.sqrt(d2)
 
 

@@ -134,6 +134,13 @@ class TestVerifyBound:
         assert code == 1
         assert "unknown scheme" in err
 
+    @pytest.mark.parametrize("pairs", ["0", "-5"])
+    def test_non_positive_pairs_fail_cleanly(self, pairs, capsys):
+        code, out, err = run_cli(["verify-bound", "--pairs", pairs], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "error: pairs must be positive\n"
+
 
 class TestEvaluate:
     def test_json_report_for_mini(self, mini_dir, capsys):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 import strategies
+from trendsax.classify import _loocv_from_rows, nn1
 from trendsax.core import PaaVector, SaxWord, make_alphabet_table, paa, symbolize, znormalize
 from trendsax.distance import (
     LOWER_BOUND_TOLERANCE,
@@ -96,6 +97,41 @@ class TestMindist:
             mindist(word_of([0, 1], 3, 8), word_of([0, 1], 4, 8), t4)
         with pytest.raises(ValueError):
             mindist(word_of([0, 1], 3, 8), word_of([0, 1], 3, 16), t3)
+
+
+def kernel_case(alpha):
+    """Seeded 150x64 and 120x64 symbol rows, labels for the 150, and the tables."""
+    rng = np.random.default_rng(61)
+    a = rng.integers(0, alpha, size=(150, 64))
+    b = rng.integers(0, alpha, size=(120, 64))
+    labels = rng.integers(1, 5, size=150)
+    table = make_alphabet_table(alpha)
+    return a, b, labels, table, oracles.pair_table(list(table.breakpoints))
+
+
+class TestKernelAtScale:
+    @pytest.mark.parametrize("alpha", [3, 20])
+    def test_matrix_and_one_row_calls_equal_the_oracle(self, alpha):
+        a, b, _, table, ref_table = kernel_case(alpha)
+        sq = table.pair_dist**2
+        d2 = _dist_sq_matrix(a, b, sq)
+        want = [[oracles.dist_sq(x, y, ref_table) for y in b.tolist()] for x in a.tolist()]
+        assert d2.tolist() == want
+        for i in range(a.shape[0]):
+            assert np.array_equal(_dist_sq_matrix(a[i:i + 1], b, sq)[0], d2[i])
+
+    def test_first_index_tie_break_matches_the_oracle(self):
+        a, b, labels, table, ref_table = kernel_case(3)
+        d2 = _dist_sq_matrix(a, a, table.pair_dist**2)
+        np.fill_diagonal(d2, np.inf)
+        tied = (d2 == d2.min(axis=1, keepdims=True)).sum(axis=1) > 1
+        assert tied.mean() > 0.2  # the tie-break decides many rows
+        want = oracles.loocv_error(a.tolist(), labels.tolist(), ref_table)
+        assert _loocv_from_rows(a, labels, table) == want
+        train = [(word_of(row, 3, 256), int(label)) for row, label in zip(a, labels)]
+        for query in b[:20]:
+            want = oracles.nn1(query.tolist(), a.tolist(), labels.tolist(), ref_table)
+            assert nn1(word_of(query, 3, 256), train, table) == want
 
 
 class TestVerifyLowerBound:
