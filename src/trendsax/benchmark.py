@@ -13,9 +13,11 @@ import io
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from pathlib import Path
+from typing import Iterable
 
-from trendsax.classify import DEFAULT_ALPHABET_RANGE, EvaluationReport, evaluate
-from trendsax.dataset import DatasetPair
+from trendsax.classify import DEFAULT_ALPHABET_RANGE, EvaluationReport, _normalized_alphabet_range, evaluate
+from trendsax.dataset import DatasetPair, load_dataset_pair
 from trendsax.segmentation import POLICIES, SCHEMES
 
 __all__ = [
@@ -67,6 +69,7 @@ class BenchmarkConfig:
             raise ValueError("at least one scheme is required")
         if self.policy not in POLICIES:
             raise ValueError(f"unknown policy {self.policy!r}")
+        _normalized_alphabet_range(self.alphabet_range)
         if self.word_count is not None and self.word_count < 1:
             raise ValueError("word_count must be positive")
         if self.ratio < 1:
@@ -100,14 +103,14 @@ class BenchmarkMatrix:
     rows: tuple[BenchmarkRow, ...]
     win_counts: dict[str, int]
 
-    def row_min(self, row: BenchmarkRow) -> float | None:
-        if not row.reports:
-            return None
-        return min(report.test_error for report in row.reports.values())
+    @staticmethod
+    def row_min(row: BenchmarkRow) -> float | None:
+        return min((report.test_error for report in row.reports.values()), default=None)
 
 
-def _dataset_row(pair: DatasetPair, config: BenchmarkConfig) -> BenchmarkRow:
+def _dataset_row(source: DatasetPair | Path, config: BenchmarkConfig) -> BenchmarkRow:
     try:
+        pair = source if isinstance(source, DatasetPair) else load_dataset_pair(source)
         m = config.word_count_for(pair.train.n)
         reports = {
             scheme: evaluate(
@@ -123,15 +126,14 @@ def _dataset_row(pair: DatasetPair, config: BenchmarkConfig) -> BenchmarkRow:
         }
         return BenchmarkRow(pair.name, reports)
     except Exception as exc:
-        return BenchmarkRow(pair.name, {}, error=f"{type(exc).__name__}: {exc}")
+        # a directory and the pair loaded from it share a name
+        return BenchmarkRow(source.name, {}, error=f"{type(exc).__name__}: {exc}")
 
 
 def _count_wins(rows: tuple[BenchmarkRow, ...], schemes: tuple[str, ...]) -> dict[str, int]:
     wins = {scheme: 0 for scheme in schemes}
     for row in rows:
-        if not row.reports:
-            continue
-        best = min(report.test_error for report in row.reports.values())
+        best = BenchmarkMatrix.row_min(row)
         for scheme, report in row.reports.items():
             if report.test_error == best:
                 wins[scheme] += 1
@@ -139,17 +141,20 @@ def _count_wins(rows: tuple[BenchmarkRow, ...], schemes: tuple[str, ...]) -> dic
 
 
 def run_benchmark(
-    pairs: list[DatasetPair] | tuple[DatasetPair, ...],
+    pairs: Iterable[DatasetPair | str | Path],
     config: BenchmarkConfig | None = None,
 ) -> BenchmarkMatrix:
-    """Evaluate every scheme on every dataset pair.
+    """Evaluate every scheme on every dataset.
 
-    Datasets are independent, so with ``config.jobs > 1`` they are
-    dispatched to a process pool; results keep input order either way.
-    A dataset that raises is recorded as a failed row, not fatal.
+    Each dataset is a loaded :class:`DatasetPair` or a directory that
+    :func:`~trendsax.dataset.load_dataset_pair` reads inside the row, so
+    a directory's arrays exist only while its row runs.  Datasets are
+    independent, so with ``config.jobs > 1`` they are dispatched to a
+    process pool; results keep input order either way.  A dataset that
+    fails to load or to score is recorded as a failed row, not fatal.
     """
     config = config or BenchmarkConfig()
-    pairs = tuple(pairs)
+    pairs = tuple(p if isinstance(p, DatasetPair) else Path(p) for p in pairs)
     if config.jobs > 1 and len(pairs) > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             rows = tuple(pool.map(_dataset_row, pairs, [config] * len(pairs)))
@@ -171,11 +176,8 @@ def report_fields(report: EvaluationReport) -> dict[str, object]:
 
 
 def _ordered_reports(row: BenchmarkRow) -> list[tuple[str, EvaluationReport]]:
-    return [(scheme, row.reports[scheme]) for scheme in SCHEMES if scheme in row.reports] + [
-        (scheme, report)
-        for scheme, report in row.reports.items()
-        if scheme not in SCHEMES
-    ]
+    # SCHEMES.index raises ValueError for a scheme the library does not define
+    return sorted(row.reports.items(), key=lambda item: SCHEMES.index(item[0]))
 
 
 def _emit_csv(matrix: BenchmarkMatrix) -> str:
@@ -216,10 +218,8 @@ def _emit_json(matrix: BenchmarkMatrix) -> str:
 
 
 def _emit_text(matrix: BenchmarkMatrix) -> str:
-    schemes = [s for s in SCHEMES if s in matrix.win_counts] + [
-        s for s in matrix.win_counts if s not in SCHEMES
-    ]
-    header = ["dataset"] + list(schemes)
+    schemes = sorted(matrix.win_counts, key=SCHEMES.index)
+    header = ["dataset"] + schemes
     body: list[list[str]] = []
     for row in matrix.rows:
         if row.error is not None:

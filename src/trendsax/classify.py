@@ -144,12 +144,7 @@ def loocv_error(train: LabeledDataset, scheme: str, m: int, alphabet_size: int,
     scheme, word length, and alphabet; the result is the misclassified
     fraction.
     """
-    if len(train) < 2:
-        raise ValueError("leave-one-out needs at least 2 instances")
-    seg = segment(scheme, train.n, m, policy)
-    table = make_alphabet_table(alphabet_size)
-    rows = _symbol_matrix(_paa_matrix(train.series, seg), table)
-    return _loocv_from_rows(rows, train.labels, table)
+    return _tune(train, scheme, m, [alphabet_size], policy)[1]
 
 
 def _normalized_alphabet_range(alphabet_range: Iterable[int]) -> list[int]:

@@ -5,7 +5,9 @@ for every instance of a series file, ``verify-bound`` fuzzes the
 distance lower bound on random pairs, ``evaluate`` scores one dataset
 under one scheme, and ``benchmark`` builds the full scheme-by-dataset
 matrix.  Exit status is 0 on success, 1 on operational failure (bad
-input files, a bound violation), 2 on usage errors.
+input files, a bound violation), 2 on usage errors.  A benchmark
+dataset that fails to load or to score becomes a failed row: the report
+is still written, the failure goes to stderr, and the exit status is 1.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from trendsax.benchmark import (
 )
 from trendsax.classify import DEFAULT_ALPHABET_RANGE, evaluate
 from trendsax.core import make_alphabet_table, paa, symbolize, znormalize
-from trendsax.dataset import DatasetPair, load_dataset_pair, load_ucr
+from trendsax.dataset import load_dataset_pair, load_ucr
 from trendsax.distance import verify_lower_bound
 from trendsax.segmentation import POLICIES, SCHEMES, segment
 
@@ -119,6 +121,8 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 def _cmd_verify_bound(args: argparse.Namespace) -> int:
     if args.pairs < 1:
         raise ValueError("pairs must be positive")
+    if args.length < 1:
+        raise ValueError("length must be positive")
     schemes = _schemes_from(args.scheme)
     rng = np.random.default_rng(args.seed)
     m = BenchmarkConfig(word_count=args.word_count, ratio=args.ratio).word_count_for(args.length)
@@ -166,20 +170,21 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _discover_pairs(paths: list[str]) -> list[DatasetPair]:
-    pairs = []
+def _discover_datasets(paths: list[str]) -> list[Path]:
+    """Each path that holds a *_TRAIN file, else its subdirectories that do."""
+    datasets = []
     for raw in paths:
         root = Path(raw)
         if not root.is_dir():
             raise FileNotFoundError(f"dataset directory {root} does not exist")
         if any(root.glob("*_TRAIN*")):
-            pairs.append(load_dataset_pair(root))
+            datasets.append(root)
             continue
         children = sorted(p for p in root.iterdir() if p.is_dir() and any(p.glob("*_TRAIN*")))
         if not children:
             raise FileNotFoundError(f"{root}: no *_TRAIN file here or in any subdirectory")
-        pairs.extend(load_dataset_pair(child) for child in children)
-    return pairs
+        datasets.extend(children)
+    return datasets
 
 
 def _cmd_benchmark(args: argparse.Namespace) -> int:
@@ -191,14 +196,12 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
         policy=args.policy,
         jobs=args.jobs,
     )
-    matrix = run_benchmark(_discover_pairs(args.datasets), config)
+    matrix = run_benchmark(_discover_datasets(args.datasets), config)
     _write_output(emit_report(matrix, args.format), args.out)
-    if any(row.error is not None for row in matrix.rows):
-        for row in matrix.rows:
-            if row.error is not None:
-                print(f"error: {row.dataset}: {row.error}", file=sys.stderr)
-        return 1
-    return 0
+    failed = [row for row in matrix.rows if row.error is not None]
+    for row in failed:
+        print(f"error: {row.dataset}: {row.error}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from trendsax.benchmark import (
     BenchmarkMatrix,
     BenchmarkRow,
     CSV_COLUMNS,
+    REPORT_FORMATS,
     emit_report,
     read_report_csv,
     run_benchmark,
@@ -60,6 +62,10 @@ class TestConfig:
             BenchmarkConfig(jobs=0)
         with pytest.raises(ValueError):
             BenchmarkConfig(word_count=0)
+        with pytest.raises(ValueError, match="alphabet range is empty"):
+            BenchmarkConfig(alphabet_range=())
+        with pytest.raises(ValueError, match=re.escape("alphabet sizes must lie in [2, 26]")):
+            BenchmarkConfig(alphabet_range=tuple(range(2, 31)))
 
 
 class TestRunBenchmark:
@@ -91,6 +97,19 @@ class TestRunBenchmark:
         assert all(row.error is not None for row in matrix.rows)
         assert [row.dataset for row in matrix.rows] == ["Steps", "Ramps"]
         assert matrix.win_counts == dict.fromkeys(SCHEMES, 0)
+
+    def test_directories_match_loaded_pairs(self, suite_dir, suite_matrix):
+        matrix = run_benchmark([suite_dir / name for name in ("Steps", "Ramps", "Bumps")])
+        assert matrix.rows == suite_matrix.rows
+        assert matrix.win_counts == suite_matrix.win_counts
+
+    def test_unloadable_directory_is_one_failed_row(self, suite_dir, suite_pairs, tmp_path):
+        config = BenchmarkConfig(alphabet_range=(3, 4))
+        matrix = run_benchmark([suite_pairs[0], str(tmp_path / "Gone")], config)
+        assert [row.dataset for row in matrix.rows] == ["Steps", "Gone"]
+        assert matrix.rows[0].error is None
+        assert matrix.rows[1].error.startswith("FileNotFoundError: ")
+        assert matrix.rows[1].reports == {}
 
     def test_jobs_do_not_change_results(self, suite_pairs, suite_matrix):
         parallel = run_benchmark(suite_pairs, BenchmarkConfig(jobs=4))
@@ -161,6 +180,34 @@ class TestEmitReport:
         assert lines[0].split()[:2] == ["dataset", "classic"]
         assert lines[-1].startswith("wins")
         assert "*" in text
+
+    def test_text_error_row_and_missing_cell(self):
+        matrix = BenchmarkMatrix(
+            (
+                BenchmarkRow("Toy", {"overlap": report_for("Toy", "overlap", 0.2),
+                                     "classic": report_for("Toy", "classic", 0.5)}),
+                BenchmarkRow("Broken", {}, error="ValueError: boom"),
+            ),
+            {"classic": 0, "overlap": 1, "split": 0},
+        )
+        assert emit_report(matrix, "text") == (
+            "dataset  classic                  overlap  split\n"
+            "-------  -----------------------  -------  -----\n"
+            "Toy      0.5                      0.2*     -\n"
+            "Broken   error: ValueError: boom\n"
+            "-------  -----------------------  -------  -----\n"
+            "wins     0                        1        0\n"
+        )
+
+    @pytest.mark.parametrize("fmt", REPORT_FORMATS)
+    def test_unknown_scheme_rejected(self, fmt):
+        matrix = BenchmarkMatrix(
+            (BenchmarkRow("Toy", {"classic": report_for("Toy", "classic", 0.2),
+                                  "diagonal": report_for("Toy", "diagonal", 0.1)}),),
+            {"classic": 0, "diagonal": 1},
+        )
+        with pytest.raises(ValueError):
+            emit_report(matrix, fmt)
 
     def test_unknown_format_rejected(self, suite_matrix):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 import subprocess
 import sys
 
@@ -141,6 +142,13 @@ class TestVerifyBound:
         assert out == ""
         assert err == "error: pairs must be positive\n"
 
+    @pytest.mark.parametrize("length", ["0", "-5"])
+    def test_non_positive_length_fails_cleanly(self, length, capsys):
+        code, out, err = run_cli(["verify-bound", "--length", length], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "error: length must be positive\n"
+
 
 class TestEvaluate:
     def test_json_report_for_mini(self, mini_dir, capsys):
@@ -160,6 +168,16 @@ class TestEvaluate:
             "misclassified": 0,
             "total": 6,
         }
+
+    def test_csv_report_for_mini(self, mini_dir, capsys):
+        code, out, _ = run_cli(
+            ["evaluate", str(mini_dir), "--alphabet-range", "3:5", "--format", "csv"], capsys
+        )
+        assert code == 0
+        assert out == (
+            "dataset,scheme,alpha_chosen,m,train_error,test_error,misclassified,total\n"
+            "mini,classic,3,4,0.0,0.0,0,6\n"
+        )
 
     def test_text_report_lists_fields(self, mini_dir, capsys):
         code, out, _ = run_cli(
@@ -218,6 +236,41 @@ class TestBenchmark:
         assert "error: Steps:" in err
         payload = json.loads(out)
         assert "Steps" in payload["errors"]
+
+    def test_ragged_dataset_costs_one_row(self, suite_dir, tmp_path, capsys):
+        root = tmp_path / "suite"
+        shutil.copytree(suite_dir, root)
+        with (root / "Steps" / "Steps_TEST.txt").open("a") as fh:
+            fh.write("1,0.5\n")
+        flags = ["--alphabet-range", "3:6"]
+        code, clean, _ = run_cli(["benchmark", str(suite_dir), *flags], capsys)
+        assert code == 0
+        reports = {}
+        for jobs in ("1", "2"):
+            for fmt in ("csv", "json"):
+                code, out, err = run_cli(
+                    ["benchmark", str(root), *flags, "--jobs", jobs, "--format", fmt], capsys
+                )
+                assert code == 1
+                assert err.startswith("error: Steps: UcrFormatError: ")
+                assert "Steps_TEST.txt:9: row has 1 values, expected 22" in err
+                reports[jobs, fmt] = out
+        assert reports["1", "csv"] == reports["2", "csv"]
+        assert reports["1", "json"] == reports["2", "json"]
+        kept = [line for line in clean.splitlines(keepends=True) if not line.startswith("Steps,")]
+        assert reports["1", "csv"] == "".join(kept)
+        assert [line.split(",")[0] for line in kept[1:]] == ["Bumps"] * 4 + ["Ramps"] * 4
+        assert list(json.loads(reports["1", "json"])["errors"]) == ["Steps"]
+
+    @pytest.mark.parametrize("alphas, message", [
+        ("5:3", "alphabet range is empty"),
+        ("2:30", f"alphabet sizes must lie in [2, 26], got {list(range(2, 31))}"),
+    ], ids=["empty", "above-max"])
+    def test_bad_alphabet_range_fails_before_work(self, alphas, message, suite_dir, capsys):
+        code, out, err = run_cli(["benchmark", str(suite_dir), "--alphabet-range", alphas], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
 
     # sha256 of the fixture-suite report with default flags; a change to
     # any of these is a change to the published report bytes
