@@ -46,7 +46,7 @@ from trendsax.distance import (
     mindist,
     verify_lower_bound,
 )
-from trendsax.segmentation import POLICIES, SCHEMES, Segmentation, segment
+from trendsax.segmentation import SCHEMES, Segmentation, segment
 
 __version__ = "0.1.0"
 
@@ -62,7 +62,6 @@ __all__ = [
     "LabeledDataset",
     "LowerBoundReport",
     "MAX_ALPHABET",
-    "POLICIES",
     "PaaVector",
     "SCHEMES",
     "SaxWord",

@@ -11,14 +11,15 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
 from trendsax.classify import DEFAULT_ALPHABET_RANGE, EvaluationReport, _normalized_alphabet_range, evaluate
 from trendsax.dataset import DatasetPair, load_dataset_pair
-from trendsax.segmentation import POLICIES, SCHEMES
+from trendsax.segmentation import SCHEMES
 
 __all__ = [
     "BenchmarkConfig",
@@ -58,7 +59,6 @@ class BenchmarkConfig:
     alphabet_range: tuple[int, ...] = tuple(DEFAULT_ALPHABET_RANGE)
     word_count: int | None = None
     ratio: int = 4
-    policy: str = "truncate"
     jobs: int = 1
 
     def __post_init__(self) -> None:
@@ -67,8 +67,6 @@ class BenchmarkConfig:
                 raise ValueError(f"unknown scheme {scheme!r}")
         if not self.schemes:
             raise ValueError("at least one scheme is required")
-        if self.policy not in POLICIES:
-            raise ValueError(f"unknown policy {self.policy!r}")
         _normalized_alphabet_range(self.alphabet_range)
         if self.word_count is not None and self.word_count < 1:
             raise ValueError("word_count must be positive")
@@ -119,15 +117,26 @@ def _dataset_row(source: DatasetPair | Path, config: BenchmarkConfig) -> Benchma
                 scheme=scheme,
                 m=m,
                 alphabet_range=config.alphabet_range,
-                policy=config.policy,
                 dataset=pair.name,
             )
             for scheme in config.schemes
         }
         return BenchmarkRow(pair.name, reports)
     except Exception as exc:
-        # a directory and the pair loaded from it share a name
-        return BenchmarkRow(source.name, {}, error=f"{type(exc).__name__}: {exc}")
+        return _failed_row(source, exc)
+
+
+def _failed_row(source: DatasetPair | Path, exc: Exception) -> BenchmarkRow:
+    # a directory and the pair loaded from it share a name
+    return BenchmarkRow(source.name, {}, error=f"{type(exc).__name__}: {exc}")
+
+
+def _worker_row(future: Future, source: DatasetPair | Path) -> BenchmarkRow:
+    try:
+        return future.result()
+    except BrokenProcessPool as exc:
+        # a worker died; this dataset's row is lost, the finished ones are kept
+        return _failed_row(source, exc)
 
 
 def _count_wins(rows: tuple[BenchmarkRow, ...], schemes: tuple[str, ...]) -> dict[str, int]:
@@ -151,13 +160,15 @@ def run_benchmark(
     a directory's arrays exist only while its row runs.  Datasets are
     independent, so with ``config.jobs > 1`` they are dispatched to a
     process pool; results keep input order either way.  A dataset that
-    fails to load or to score is recorded as a failed row, not fatal.
+    fails to load or to score, or whose worker process dies, is recorded
+    as a failed row, not fatal.
     """
     config = config or BenchmarkConfig()
     pairs = tuple(p if isinstance(p, DatasetPair) else Path(p) for p in pairs)
     if config.jobs > 1 and len(pairs) > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            rows = tuple(pool.map(_dataset_row, pairs, [config] * len(pairs)))
+            futures = [pool.submit(_dataset_row, pair, config) for pair in pairs]
+            rows = tuple(_worker_row(future, pair) for future, pair in zip(futures, pairs))
     else:
         rows = tuple(_dataset_row(pair, config) for pair in pairs)
     return BenchmarkMatrix(rows, _count_wins(rows, config.schemes))
@@ -223,7 +234,7 @@ def _emit_text(matrix: BenchmarkMatrix) -> str:
     body: list[list[str]] = []
     for row in matrix.rows:
         if row.error is not None:
-            body.append([row.dataset] + [f"error: {row.error}" if s == schemes[0] else "" for s in schemes])
+            body.append([row.dataset, f"error: {row.error}"])
             continue
         best = matrix.row_min(row)
         cells = [row.dataset]
@@ -237,7 +248,9 @@ def _emit_text(matrix: BenchmarkMatrix) -> str:
         body.append(cells)
     footer = ["wins"] + [str(matrix.win_counts.get(s, 0)) for s in schemes]
     table = [header] + body + [footer]
-    widths = [max(len(r[i]) for r in table) for i in range(len(header))]
+    # a failed row's message is its last cell and sizes no column
+    sized = [header, footer] + [cells for cells, row in zip(body, matrix.rows) if row.error is None]
+    widths = [max(len(r[0]) for r in table)] + [max(len(r[i]) for r in sized) for i in range(1, len(header))]
     lines = []
     for i, r in enumerate(table):
         lines.append("  ".join(cell.ljust(widths[j]) for j, cell in enumerate(r)).rstrip())

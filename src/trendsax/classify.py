@@ -136,15 +136,14 @@ def _loocv_from_rows(rows: np.ndarray, labels: np.ndarray, table: AlphabetTable)
     return int((predicted != labels).sum()) / labels.size
 
 
-def loocv_error(train: LabeledDataset, scheme: str, m: int, alphabet_size: int,
-                policy: str = "truncate") -> float:
+def loocv_error(train: LabeledDataset, scheme: str, m: int, alphabet_size: int) -> float:
     """Leave-one-out 1NN error of the training set in word space.
 
     Each instance is classified against all the others under the given
     scheme, word length, and alphabet; the result is the misclassified
     fraction.
     """
-    return _tune(train, scheme, m, [alphabet_size], policy)[1]
+    return _tune(train, scheme, m, [alphabet_size])[1]
 
 
 def _normalized_alphabet_range(alphabet_range: Iterable[int]) -> list[int]:
@@ -156,13 +155,13 @@ def _normalized_alphabet_range(alphabet_range: Iterable[int]) -> list[int]:
     return alphas
 
 
-def _tune(train: LabeledDataset, scheme: str, m: int, alphabet_range: Iterable[int],
-          policy: str) -> tuple[TunedModel, float, np.ndarray]:
+def _tune(train: LabeledDataset, scheme: str, m: int,
+          alphabet_range: Iterable[int]) -> tuple[TunedModel, float, np.ndarray]:
     """Tuned model, its leave-one-out error, and the training symbol rows."""
     if len(train) < 2:
         raise ValueError("tuning needs at least 2 training instances")
     alphas = _normalized_alphabet_range(alphabet_range)
-    seg = segment(scheme, train.n, m, policy)
+    seg = segment(scheme, train.n, m)
     means = _paa_matrix(train.series, seg)
     best_alpha = None
     best_error = None
@@ -183,25 +182,24 @@ def _tune(train: LabeledDataset, scheme: str, m: int, alphabet_range: Iterable[i
 
 
 def tune_alphabet(train: LabeledDataset, scheme: str, m: int,
-                  alphabet_range: Iterable[int] = DEFAULT_ALPHABET_RANGE,
-                  policy: str = "truncate") -> TunedModel:
+                  alphabet_range: Iterable[int] = DEFAULT_ALPHABET_RANGE) -> TunedModel:
     """Pick the alphabet size minimizing leave-one-out error on ``train``.
 
     The sweep shares one aggregation pass across all candidate sizes and
     resolves ties toward the smallest alphabet.
     """
-    model, _, _ = _tune(train, scheme, m, alphabet_range, policy)
+    model, _, _ = _tune(train, scheme, m, alphabet_range)
     return model
 
 
 def evaluate(train: LabeledDataset, test: LabeledDataset, scheme: str, m: int,
              alphabet_range: Iterable[int] = DEFAULT_ALPHABET_RANGE,
-             policy: str = "truncate", dataset: str = "") -> EvaluationReport:
+             dataset: str = "") -> EvaluationReport:
     """Tune on the training split, then score 1NN accuracy on the test split."""
     if train.n != test.n:
         raise ValueError(f"train and test series lengths differ: {train.n} vs {test.n}")
-    model, train_error, train_rows = _tune(train, scheme, m, alphabet_range, policy)
-    seg = segment(scheme, test.n, m, policy)
+    model, train_error, train_rows = _tune(train, scheme, m, alphabet_range)
+    seg = segment(scheme, test.n, m)
     test_rows = _symbol_matrix(_paa_matrix(test.series, seg), model.table)
     d2 = _dist_sq_matrix(test_rows, train_rows, model.table.pair_dist**2)
     predicted = train.labels[np.argmin(d2, axis=1)]

@@ -32,7 +32,7 @@ from trendsax.classify import DEFAULT_ALPHABET_RANGE, evaluate
 from trendsax.core import make_alphabet_table, paa, symbolize, znormalize
 from trendsax.dataset import load_dataset_pair, load_ucr
 from trendsax.distance import verify_lower_bound
-from trendsax.segmentation import POLICIES, SCHEMES, segment
+from trendsax.segmentation import SCHEMES, segment
 
 __all__ = ["main"]
 
@@ -61,8 +61,6 @@ def _add_word_length_flags(parser: argparse.ArgumentParser) -> None:
 def _add_common_flags(parser: argparse.ArgumentParser, schemes_default: str = "classic") -> None:
     parser.add_argument("--scheme", default=schemes_default,
                         help=f"segmentation scheme: {', '.join(SCHEMES)}, or 'all'")
-    parser.add_argument("--policy", choices=POLICIES, default="truncate",
-                        help="handling of lengths not divisible by the word count")
     _add_word_length_flags(parser)
 
 
@@ -97,7 +95,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     lengths = BenchmarkConfig(word_count=args.word_count, ratio=args.ratio)
     data = load_ucr(args.file)
     m = lengths.word_count_for(data.n)
-    seg = segment(scheme, data.n, m, args.policy)
+    seg = segment(scheme, data.n, m)
     table = make_alphabet_table(args.alphabet)
     records = []
     for index, (row, label) in enumerate(zip(data.series, data.labels)):
@@ -133,7 +131,7 @@ def _cmd_verify_bound(args: argparse.Namespace) -> int:
         s = rng.standard_normal(args.length)
         t = rng.standard_normal(args.length)
         for scheme in schemes:
-            report = verify_lower_bound(s, t, scheme, m, args.alphabet, args.policy)
+            report = verify_lower_bound(s, t, scheme, m, args.alphabet)
             checked += 1
             worst = min(worst, report.slack)
             if not report.holds:
@@ -149,12 +147,12 @@ def _cmd_verify_bound(args: argparse.Namespace) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     scheme = _single_scheme_from(args.scheme)
-    lengths = BenchmarkConfig(word_count=args.word_count, ratio=args.ratio)
+    config = BenchmarkConfig(alphabet_range=args.alphabet_range,
+                             word_count=args.word_count, ratio=args.ratio)
     pair = load_dataset_pair(args.dataset)
-    m = lengths.word_count_for(pair.train.n)
+    m = config.word_count_for(pair.train.n)
     report = evaluate(pair.train, pair.test, scheme, m,
-                      alphabet_range=args.alphabet_range, policy=args.policy,
-                      dataset=pair.name)
+                      alphabet_range=config.alphabet_range, dataset=pair.name)
     record = {"dataset": report.dataset, "scheme": report.scheme, **report_fields(report)}
     if args.format == "json":
         text = json.dumps(record, indent=2) + "\n"
@@ -193,7 +191,6 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
         alphabet_range=args.alphabet_range,
         word_count=args.word_count,
         ratio=args.ratio,
-        policy=args.policy,
         jobs=args.jobs,
     )
     matrix = run_benchmark(_discover_datasets(args.datasets), config)

@@ -250,7 +250,7 @@ def paa(values, seg: Segmentation) -> PaaVector:
     """Average the series over each block of ``seg``.
 
     The series must cover at least ``seg.n_effective`` points; indices past
-    the segmentation (present under the truncate policy) are ignored.
+    the segmentation (the ``n mod m`` points it drops) are ignored.
     Within a block only membership matters, not order.
     """
     x = _as_series(values)

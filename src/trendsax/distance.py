@@ -94,7 +94,6 @@ def verify_lower_bound(
     scheme: str,
     m: int,
     alphabet_size: int,
-    policy: str = "truncate",
 ) -> LowerBoundReport:
     """Check the word distance against the raw Euclidean distance for one pair.
 
@@ -106,7 +105,7 @@ def verify_lower_bound(
     y = np.asarray(t, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError(f"series must be one-dimensional and equal length, got {x.shape} and {y.shape}")
-    seg = segment(scheme, x.size, m, policy)
+    seg = segment(scheme, x.size, m)
     table = make_alphabet_table(alphabet_size)
     word_s = symbolize(paa(x, seg), table)
     word_t = symbolize(paa(y, seg), table)

@@ -1,7 +1,8 @@
 """Index partitions feeding piecewise aggregation.
 
-A segmentation splits the first ``n_effective`` indices of a series into
-``m`` blocks of exactly ``w = n_effective / m`` indices each.  Block means
+A segmentation splits the first ``n_effective = m * w`` indices of a
+series of length ``n`` into ``m`` blocks of exactly ``w = n // m``
+indices each; the trailing ``n - m * w`` indices are dropped.  Block means
 stay plain averages of ``w`` points no matter how the indices are laid
 out, so any exact partition keeps the word distance a lower bound of the
 raw Euclidean distance.  Four layouts are supported; for a series of 16
@@ -35,10 +36,9 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["SCHEMES", "POLICIES", "Segmentation", "segment"]
+__all__ = ["SCHEMES", "Segmentation", "segment"]
 
 SCHEMES = ("classic", "overlap", "intertwine", "split")
-POLICIES = ("strict", "truncate")
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,9 +84,7 @@ _RUN_LENGTH = {"intertwine": 1, "split": 2}
 
 
 @lru_cache(maxsize=256)
-def _build(scheme: str, n: int, m: int, policy: str) -> Segmentation:
-    if policy == "strict" and n % m:
-        raise ValueError(f"series length {n} is not divisible by m={m} under strict policy")
+def _build(scheme: str, n: int, m: int) -> Segmentation:
     w = n // m
     blocks = np.arange(m * w, dtype=np.int64).reshape(m, w)
     if scheme == "overlap" and w > 1:
@@ -102,29 +100,24 @@ def _build(scheme: str, n: int, m: int, policy: str) -> Segmentation:
     return Segmentation(scheme, m * w, m, blocks)
 
 
-def segment(scheme: str, n: int, m: int, policy: str = "truncate") -> Segmentation:
+def segment(scheme: str, n: int, m: int) -> Segmentation:
     """Build the index partition for ``scheme`` over a series of length ``n``.
 
     Parameters
     ----------
     scheme : one of ``SCHEMES``
     n : length of the source series
-    m : number of blocks
-    policy : "strict" requires ``m`` to divide ``n``; "truncate" uses
-        ``w = n // m`` blocks and drops the trailing ``n - m*w`` indices.
+    m : number of blocks, ``1 <= m <= n``
 
     Returns
     -------
-    Segmentation covering the first ``m * w`` indices.
+    Segmentation of the first ``m * w`` indices into ``m`` blocks of
+    ``w = n // m``; the trailing ``n - m * w`` indices are dropped.
     """
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    if policy not in POLICIES:
-        raise ValueError(f"unknown divisibility policy {policy!r}; expected one of {POLICIES}")
     n = int(n)
     m = int(m)
     if m < 1:
         raise ValueError("m must be at least 1")
     if m > n:
         raise ValueError(f"m={m} exceeds series length {n}")
-    return _build(scheme, n, m, policy)
+    return _build(scheme, n, m)

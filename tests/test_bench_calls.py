@@ -1,0 +1,49 @@
+"""The library call shapes that the benchmark under ``bench/`` relies on.
+
+``bench/measure.py`` calls the library by position and ``bench/spans.py``
+rebinds functions by name and reads their arguments by name, so a
+renamed function or a dropped parameter would break the stream workload
+or ``--trace 1`` without failing any other test.  ``bench/`` is only
+read here.
+"""
+
+import importlib
+import inspect
+import sys
+from pathlib import Path
+
+import pytest
+
+from trendsax.classify import evaluate, nn1, tune_alphabet
+from trendsax.distance import verify_lower_bound
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+# imported without writing a bytecode cache under bench/
+sys.path.insert(0, str(BENCH))
+dont_write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+try:
+    import spans
+finally:
+    sys.path.remove(str(BENCH))
+    sys.dont_write_bytecode = dont_write_bytecode
+
+
+@pytest.mark.parametrize("module_name, attr", spans.TRACED)
+def test_traced_names_resolve_to_callables(module_name, attr):
+    assert callable(getattr(importlib.import_module(module_name), attr))
+
+
+def test_stream_calls_bind():
+    # positional calls as bench/measure.py makes them
+    inspect.signature(tune_alphabet).bind("train", "scheme", "m")
+    inspect.signature(nn1).bind("word", "model.train_words", "model.table")
+    inspect.signature(verify_lower_bound).bind("left", "right", "scheme", "m", "alpha")
+
+
+@pytest.mark.parametrize("fn, observed", [
+    (evaluate, {"train", "test", "m", "alphabet_range"}),
+    (tune_alphabet, {"alphabet_range"}),
+], ids=["evaluate", "tune_alphabet"])
+def test_observed_parameters_exist(fn, observed):
+    assert observed <= set(inspect.signature(fn).parameters)

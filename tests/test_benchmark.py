@@ -1,4 +1,5 @@
 import json
+import os
 import re
 
 import pytest
@@ -16,8 +17,15 @@ from trendsax.benchmark import (
     run_benchmark,
 )
 from trendsax.classify import EvaluationReport
-from trendsax.dataset import load_dataset_pair
+from trendsax.dataset import DatasetPair, load_dataset_pair
 from trendsax.segmentation import SCHEMES
+
+
+class WorkerKiller(DatasetPair):
+    """A dataset whose unpickling ends the worker process that receives it."""
+
+    def __reduce__(self):
+        return os._exit, (1,)
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +51,6 @@ class TestConfig:
         config = BenchmarkConfig()
         assert config.schemes == SCHEMES
         assert config.alphabet_range == tuple(range(3, 21))
-        assert config.policy == "truncate"
         assert config.jobs == 1
 
     def test_word_count_override_and_ratio(self):
@@ -56,8 +63,6 @@ class TestConfig:
             BenchmarkConfig(schemes=("sideways",))
         with pytest.raises(ValueError):
             BenchmarkConfig(schemes=())
-        with pytest.raises(ValueError):
-            BenchmarkConfig(policy="pad")
         with pytest.raises(ValueError):
             BenchmarkConfig(jobs=0)
         with pytest.raises(ValueError):
@@ -115,6 +120,20 @@ class TestRunBenchmark:
         parallel = run_benchmark(suite_pairs, BenchmarkConfig(jobs=4))
         assert emit_report(parallel, "csv") == emit_report(suite_matrix, "csv")
         assert parallel.win_counts == suite_matrix.win_counts
+
+    def test_killed_worker_costs_its_rows(self, suite_pairs, suite_matrix):
+        steps, ramps, bumps = suite_pairs
+        killer = WorkerKiller("Killer", steps.train, steps.test)
+        matrix = run_benchmark([ramps, killer, bumps], BenchmarkConfig(jobs=2))
+        assert [row.dataset for row in matrix.rows] == ["Ramps", "Killer", "Bumps"]
+        assert matrix.rows[1].error.startswith("BrokenProcessPool: ")
+        assert matrix.rows[1].reports == {}
+        serial = {row.dataset: row for row in suite_matrix.rows}
+        for row in (matrix.rows[0], matrix.rows[2]):
+            if row.error is None:
+                assert row == serial[row.dataset]
+            else:
+                assert row.error.startswith("BrokenProcessPool: ")
 
     def test_row_order_follows_input_order(self, suite_pairs, suite_matrix):
         reversed_matrix = run_benchmark(list(reversed(suite_pairs)), BenchmarkConfig())
@@ -191,12 +210,12 @@ class TestEmitReport:
             {"classic": 0, "overlap": 1, "split": 0},
         )
         assert emit_report(matrix, "text") == (
-            "dataset  classic                  overlap  split\n"
-            "-------  -----------------------  -------  -----\n"
-            "Toy      0.5                      0.2*     -\n"
+            "dataset  classic  overlap  split\n"
+            "-------  -------  -------  -----\n"
+            "Toy      0.5      0.2*     -\n"
             "Broken   error: ValueError: boom\n"
-            "-------  -----------------------  -------  -----\n"
-            "wins     0                        1        0\n"
+            "-------  -------  -------  -----\n"
+            "wins     0        1        0\n"
         )
 
     @pytest.mark.parametrize("fmt", REPORT_FORMATS)

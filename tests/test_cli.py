@@ -10,6 +10,13 @@ from trendsax.benchmark import read_report_csv
 from trendsax.cli import _parse_alphabet_range, build_parser, main
 
 
+# an --alphabet-range that no run can use, and the error it must print
+BAD_ALPHABET_RANGES = pytest.mark.parametrize("alphas, message", [
+    ("5:3", "alphabet range is empty"),
+    ("2:30", f"alphabet sizes must lie in [2, 26], got {list(range(2, 31))}"),
+], ids=["empty", "above-max"])
+
+
 def run_cli(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
@@ -192,6 +199,16 @@ class TestEvaluate:
         assert code == 1
         assert err.startswith("error:")
 
+    @BAD_ALPHABET_RANGES
+    def test_bad_alphabet_range_fails_before_work(self, alphas, message, fixtures_dir, capsys):
+        # the range is checked before the (missing) directory is read
+        code, out, err = run_cli(
+            ["evaluate", str(fixtures_dir / "nonexistent"), "--alphabet-range", alphas], capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
+
 
 class TestBenchmark:
     def test_discovers_suite_children(self, suite_dir, capsys):
@@ -262,10 +279,7 @@ class TestBenchmark:
         assert [line.split(",")[0] for line in kept[1:]] == ["Bumps"] * 4 + ["Ramps"] * 4
         assert list(json.loads(reports["1", "json"])["errors"]) == ["Steps"]
 
-    @pytest.mark.parametrize("alphas, message", [
-        ("5:3", "alphabet range is empty"),
-        ("2:30", f"alphabet sizes must lie in [2, 26], got {list(range(2, 31))}"),
-    ], ids=["empty", "above-max"])
+    @BAD_ALPHABET_RANGES
     def test_bad_alphabet_range_fails_before_work(self, alphas, message, suite_dir, capsys):
         code, out, err = run_cli(["benchmark", str(suite_dir), "--alphabet-range", alphas], capsys)
         assert code == 1

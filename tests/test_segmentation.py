@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import oracles
 import strategies
-from trendsax.segmentation import POLICIES, SCHEMES, Segmentation, segment
+from trendsax.segmentation import SCHEMES, Segmentation, segment
 
 
 class TestSchemePatterns:
@@ -61,13 +61,8 @@ class TestSchemePatterns:
 
 
 class TestPolicies:
-    def test_strict_requires_divisibility(self):
-        with pytest.raises(ValueError):
-            segment("classic", 10, 3, "strict")
-        assert segment("classic", 9, 3, "strict").n_effective == 9
-
     def test_truncate_drops_trailing_indices(self):
-        seg = segment("classic", 10, 3, "truncate")
+        seg = segment("classic", 10, 3)
         assert seg.n_effective == 9
         assert seg.w == 3
         assert seg.blocks.max() == 8
@@ -75,8 +70,6 @@ class TestPolicies:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             segment("diagonal", 16, 4)
-        with pytest.raises(ValueError):
-            segment("classic", 16, 4, "pad")
         with pytest.raises(ValueError):
             segment("classic", 16, 0)
         with pytest.raises(ValueError):
@@ -106,12 +99,9 @@ def test_matches_reference_construction_on_grid():
     for scheme in SCHEMES:
         for n in range(1, 65):
             for m in range(1, n + 1):
-                for policy in POLICIES:
-                    if policy == "strict" and n % m:
-                        continue
-                    got = segment(scheme, n, m, policy).blocks
-                    expected = [sorted(b) for b in oracles.segment_blocks(scheme, n, m, policy)]
-                    assert got.tolist() == expected, (scheme, n, m, policy)
+                got = segment(scheme, n, m).blocks
+                expected = [sorted(b) for b in oracles.segment_blocks(scheme, n, m)]
+                assert got.tolist() == expected, (scheme, n, m)
 
 
 # ----------------------------------------------------------------- properties
