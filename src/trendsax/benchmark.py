@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import multiprocessing
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -131,12 +132,18 @@ def _failed_row(source: DatasetPair | Path, exc: Exception) -> BenchmarkRow:
     return BenchmarkRow(source.name, {}, error=f"{type(exc).__name__}: {exc}")
 
 
-def _worker_row(future: Future, source: DatasetPair | Path) -> BenchmarkRow:
+def _worker_row(future: Future, source: DatasetPair | Path, config: BenchmarkConfig) -> BenchmarkRow:
     try:
         return future.result()
-    except BrokenProcessPool as exc:
-        # a worker died; this dataset's row is lost, the finished ones are kept
-        return _failed_row(source, exc)
+    except BrokenProcessPool:
+        # a dead worker fails every row in flight; rerun this one alone, so
+        # only the dataset whose own worker dies again is lost.  Spawned,
+        # not forked, since the first pool has started threads in this process
+        with ProcessPoolExecutor(max_workers=1, mp_context=multiprocessing.get_context("spawn")) as pool:
+            try:
+                return pool.submit(_dataset_row, source, config).result()
+            except BrokenProcessPool as exc:
+                return _failed_row(source, exc)
 
 
 def _count_wins(rows: tuple[BenchmarkRow, ...], schemes: tuple[str, ...]) -> dict[str, int]:
@@ -161,14 +168,16 @@ def run_benchmark(
     independent, so with ``config.jobs > 1`` they are dispatched to a
     process pool; results keep input order either way.  A dataset that
     fails to load or to score, or whose worker process dies, is recorded
-    as a failed row, not fatal.
+    as a failed row, not fatal.  A row lost with a dead worker is run
+    again alone in a fresh one-worker pool, so a crash costs only the
+    dataset that causes it.
     """
     config = config or BenchmarkConfig()
     pairs = tuple(p if isinstance(p, DatasetPair) else Path(p) for p in pairs)
     if config.jobs > 1 and len(pairs) > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             futures = [pool.submit(_dataset_row, pair, config) for pair in pairs]
-            rows = tuple(_worker_row(future, pair) for future, pair in zip(futures, pairs))
+            rows = tuple(_worker_row(future, pair, config) for future, pair in zip(futures, pairs))
     else:
         rows = tuple(_dataset_row(pair, config) for pair in pairs)
     return BenchmarkMatrix(rows, _count_wins(rows, config.schemes))

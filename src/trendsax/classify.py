@@ -14,14 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from trendsax.core import (
-    MAX_ALPHABET,
-    AlphabetTable,
-    SaxWord,
-    make_alphabet_table,
-    paa,
-    znormalize,
-)
+from trendsax.core import MAX_ALPHABET, AlphabetTable, SaxWord, _znormalize_rows, make_alphabet_table
 from trendsax.distance import _check_compatible, _dist_sq_matrix
 from trendsax.segmentation import Segmentation, segment
 
@@ -121,8 +114,16 @@ def nn1(query: SaxWord, train_words: Sequence[tuple[SaxWord, int]], table: Alpha
 
 
 def _paa_matrix(series: np.ndarray, seg: Segmentation) -> np.ndarray:
-    """Per-row z-normalization followed by block averaging; (N, m) means."""
-    return np.stack([paa(znormalize(row), seg).means for row in series])
+    """Per-row z-normalization followed by block averaging; (N, m) means.
+
+    Equal bit for bit to ``paa(znormalize(row), seg).means`` per row: the
+    block means are gathered row by row, because one (N, m, w) gather
+    sums its blocks in another order once ``w >= 8``.
+    """
+    z = _znormalize_rows(series)
+    if not np.isfinite(z).all():  # the mean or std overflowed
+        raise ValueError("series contains non-finite values")
+    return np.stack([row[seg.blocks].mean(axis=1) for row in z])
 
 
 def _symbol_matrix(means: np.ndarray, table: AlphabetTable) -> np.ndarray:

@@ -28,8 +28,8 @@ from trendsax.benchmark import (
     report_fields,
     run_benchmark,
 )
-from trendsax.classify import DEFAULT_ALPHABET_RANGE, evaluate
-from trendsax.core import make_alphabet_table, paa, symbolize, znormalize
+from trendsax.classify import DEFAULT_ALPHABET_RANGE, _paa_matrix, _symbol_matrix, evaluate
+from trendsax.core import SaxWord, make_alphabet_table
 from trendsax.dataset import load_dataset_pair, load_ucr
 from trendsax.distance import verify_lower_bound
 from trendsax.segmentation import SCHEMES, segment
@@ -97,10 +97,11 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     m = lengths.word_count_for(data.n)
     seg = segment(scheme, data.n, m)
     table = make_alphabet_table(args.alphabet)
-    records = []
-    for index, (row, label) in enumerate(zip(data.series, data.labels)):
-        word = symbolize(paa(znormalize(row), seg), table)
-        records.append((index, int(label), word.to_letters()))
+    rows = _symbol_matrix(_paa_matrix(data.series, seg), table)
+    records = [
+        (index, int(label), SaxWord(row, table.alphabet_size, seg.n_effective).to_letters())
+        for index, (row, label) in enumerate(zip(rows, data.labels))
+    ]
     if args.format == "json":
         payload = [{"index": i, "label": lab, "word": w} for i, lab, w in records]
         text = json.dumps(payload, indent=2) + "\n"

@@ -57,11 +57,14 @@ def znormalize(values) -> np.ndarray:
     below 1e-12 is treated as constant and maps to all zeros, so flat
     inputs never blow up downstream.
     """
-    x = _as_series(values)
-    sigma = float(x.std())
-    if sigma < _DEGENERATE_STD:
-        return np.zeros_like(x)
-    return (x - x.mean()) / sigma
+    return _znormalize_rows(_as_series(values))
+
+
+def _znormalize_rows(x: np.ndarray) -> np.ndarray:
+    """:func:`znormalize` along the last axis, each row on its own."""
+    mu = x.mean(axis=-1, keepdims=True)
+    sd = x.std(axis=-1, keepdims=True)
+    return np.divide(x - mu, sd, out=np.zeros_like(x), where=sd >= _DEGENERATE_STD)
 
 
 # Rational approximation coefficients for the standard-normal quantile
@@ -175,12 +178,6 @@ class AlphabetTable:
             arr.flags.writeable = False
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "pair_dist", pd)
-
-    def symbol_letter(self, index: int) -> str:
-        """Display letter for a symbol index ('a' + index)."""
-        if not 0 <= index < self.alphabet_size:
-            raise ValueError(f"symbol index {index} outside alphabet of size {self.alphabet_size}")
-        return chr(ord("a") + index)
 
 
 @lru_cache(maxsize=MAX_ALPHABET)

@@ -4,6 +4,14 @@ One instance per line: an integer class label followed by the series
 values, separated by commas or tabs (detected per file).  All rows in a
 file must have the same number of values.  Labels written as reals are
 accepted when they are within 1e-6 of an integer.
+
+A file is parsed twice at most.  numpy's C reader goes first, and its
+array is kept only when the file ends lines at newlines alone, it gives
+at least one row of a label and a value, every number is finite, and
+every label is within 1e-6 of an integer that fits 64 bits.  Otherwise,
+or when the C reader refuses the file, the line parser reads it again:
+it defines the grammar, and it names the first offending line.  Where
+both accept a file they give equal arrays.
 """
 
 from __future__ import annotations
@@ -20,6 +28,10 @@ from trendsax.classify import LabeledDataset
 __all__ = ["DatasetPair", "UcrFormatError", "load_dataset_pair", "load_ucr"]
 
 _SERIES_SUFFIXES = {"", ".txt", ".tsv", ".csv"}
+
+# where str.splitlines ends a line besides "\n" ("\r" is already a
+# newline once a file is read in text mode)
+_LINE_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 class UcrFormatError(ValueError):
@@ -60,6 +72,37 @@ def load_ucr(path) -> LabeledDataset:
     unparseable or non-finite values, non-integer labels.
     """
     path = Path(path)
+    try:
+        return _load_fast(path)
+    except ValueError:
+        return _load_lines(path)
+
+
+def _load_fast(path: Path) -> LabeledDataset:
+    """numpy's C reader; ValueError for any file the line parser must judge.
+
+    ``str.splitlines`` also ends a line at the characters in
+    ``_LINE_BREAKS``, while numpy's reader strips them from the edges of
+    a field, so a file holding any of them is left to the line parser.
+    """
+    with path.open() as fh:
+        first = next((line for line in fh if line.strip()), "")
+        fh.seek(0)
+        for chunk in iter(lambda: fh.read(1 << 20), ""):
+            if any(c in chunk for c in _LINE_BREAKS):
+                raise ValueError("line break other than a newline")
+    table = np.loadtxt(path, delimiter=_detect_delimiter(first.strip()), comments=None,
+                       ndmin=2, dtype=np.float64)
+    labels = np.round(table[:, 0])
+    if (table.shape[0] < 1 or table.shape[1] < 2 or not np.isfinite(table).all()
+            or (np.abs(table[:, 0] - labels) > 1e-6).any()
+            or (labels < -(2.0**63)).any() or (labels >= 2.0**63).any()):
+        raise ValueError("outside the checked subset of the grammar")
+    return LabeledDataset(table[:, 1:], labels.astype(np.int64))
+
+
+def _load_lines(path: Path) -> LabeledDataset:
+    """The line-by-line parser, which defines the grammar."""
     text = path.read_text()
     rows: list[np.ndarray] = []
     labels: list[int] = []

@@ -7,6 +7,7 @@ import oracles
 from trendsax.classify import (
     EvaluationReport,
     LabeledDataset,
+    _paa_matrix,
     evaluate,
     loocv_error,
     nn1,
@@ -35,6 +36,29 @@ def library_words(data: LabeledDataset, scheme, m, table):
     return [
         symbolize(paa(znormalize(row), seg), table) for row in data.series
     ]
+
+
+class TestPaaMatrix:
+    def test_equals_per_row_reduction_bit_for_bit(self):
+        # blocks of w >= 8 points are where one whole-matrix gather sums in
+        # another order; constant rows take the zero branch
+        rng = np.random.default_rng(6)
+        long_blocks = 0
+        for case in range(120):
+            m = int(rng.integers(1, 17))
+            w = int(rng.integers(1, 33))
+            n = m * w + int(rng.integers(0, m))
+            rows = int(rng.integers(1, 9))
+            series = rng.standard_normal((rows, n + 1)).cumsum(axis=1) * 10.0 ** rng.integers(-3, 4)
+            series[rng.random(rows) < 0.25] = rng.standard_normal()
+            # a view past a first column, the layout load_ucr returns
+            series = series[:, 1:]
+            scheme = SCHEMES[case % len(SCHEMES)]
+            seg = segment(scheme, n, m)
+            long_blocks += seg.w >= 8
+            want = np.stack([paa(znormalize(row), seg).means for row in series])
+            assert np.array_equal(_paa_matrix(series, seg), want), (scheme, rows, n, m)
+        assert long_blocks >= 40
 
 
 class TestNn1:

@@ -138,12 +138,6 @@ class TestMakeAlphabetTable:
         with pytest.raises(ValueError):
             table.pair_dist[0, 0] = 1.0
 
-    def test_symbol_letter(self):
-        table = make_alphabet_table(4)
-        assert [table.symbol_letter(i) for i in range(4)] == ["a", "b", "c", "d"]
-        with pytest.raises(ValueError):
-            table.symbol_letter(4)
-
 
 class TestPaa:
     def test_single_block_hides_opposite_trends(self):

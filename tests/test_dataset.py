@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from trendsax.benchmark import BenchmarkConfig, emit_report, run_benchmark
 from trendsax.classify import evaluate
+from trendsax import dataset
 from trendsax.dataset import DatasetPair, UcrFormatError, load_dataset_pair, load_ucr
 
 
@@ -76,6 +77,92 @@ class TestLoadUcr:
         path.write_text("1 2 3\n")
         with pytest.raises(UcrFormatError):
             load_ucr(path)
+
+
+def _generated_text(seed=0, rows=12, n=64):
+    # the layout bench/gen.py writes: 1-based label, then six decimals
+    rng = np.random.default_rng(seed)
+    series = rng.standard_normal((rows, n)).cumsum(axis=1)
+    return "".join(
+        f"{label}," + ",".join(f"{v:.6f}" for v in values) + "\n"
+        for label, values in zip(rng.integers(1, 5, rows).tolist(), series.tolist())
+    )
+
+
+EXTREMES = [5e-324, -0.0, 1.7976931348623157e308, 2.2250738585072014e-308, 0.1, 1 / 3, -1e-300]
+
+# file text -> parsed by both load_ucr and the line parser, which is the oracle
+PARSER_CASES = {
+    "tabs": "1\t0.5\t-0.5\n2\t1.5\t2.5\n",
+    "crlf": "1,0.5,-0.5\r\n2,1.5,2.5\r\n",
+    "cr-only": "1,0.5,-0.5\r2,1.5,2.5\r",
+    "blank-lines": "\n1,0.5,1\n\n\n2,1.5,2\n\n",
+    "whitespace-only-line": "1,0.5,1\n  \t \n2,1.5,2\n",
+    "padded-fields": " 1 , 0.5 ,1\n2,\t1.5, 2 \n",
+    "form-feed-break": "1,2,\x0c3,4\n",
+    "form-feed-in-field": "1,2\x0c,3\n",
+    "next-line-break": "1,2,\x853,4\n",
+    "line-separator-break": "1,2\u2028,3,4\n",
+    "vertical-tab-line-end": "1,2,3\x0b\n2,4,5\n",
+    "trailing-delimiter": "1,2,3,\n2,4,5,\n",
+    "empty-field": "1,2,,3\n2,4,5\n",
+    "ragged-after-empty-field": "1,2,,3\n2,4,5,6\n",
+    "underscore-digits": "1,1_0,2\n",
+    "bom": "\ufeff1,2,3\n",
+    "real-label-close": "1.0000001,2,3\n-2.0000000001,4,5\n",
+    "real-label-far": "1,2,3\n1.00001,2,3\n",
+    "half-label": "2.5,1,2\n",
+    "nan-value": "1,2,3\n2,nan,4\n",
+    "inf-value": "1,2,inf\n",
+    "infinity-label": "Infinity,1,2\n",
+    "overflowing-value": "1,1e400\n",
+    "label-beyond-int64": "9223372036854775807,1,2\n",
+    "smallest-int64-label": "-9223372036854775808,1,2\n",
+    "ragged": "1,1,2,3\n2,1,2\n",
+    "label-only": "1,\n2,\n",
+    "label-only-tabs": "1\t\n2\t\n",
+    "empty-file": "",
+    "blank-file": "\n \n",
+    "no-delimiter": "1 2 3\n",
+    "mixed-delimiters": "1\t2\t3\n1,2,3\n",
+    "quoted-value": '1,"2",3\n',
+    "hash": "1,2,3 # note\n",
+    "non-ascii-digit": "1,\u0663,2\n",
+    "nul": "1,2\x00\n",
+    "repr-extremes": "1," + ",".join(repr(v) for v in EXTREMES) + "\n",
+    "long-digits": "1,0.1000000000000000055511151231257827021181583404541015625,2.00000000000000000001\n",
+    "generated": _generated_text(),
+}
+
+
+def _outcome(parse, path):
+    try:
+        data = parse(path)
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return data.series.shape, data.series.tobytes(), data.labels.tolist()
+
+
+@pytest.mark.parametrize("text", PARSER_CASES.values(), ids=PARSER_CASES.keys())
+def test_load_ucr_agrees_with_line_parser(tmp_path, text):
+    path = tmp_path / "d.txt"
+    path.write_bytes(text.encode("utf-8"))
+    assert _outcome(load_ucr, path) == _outcome(dataset._load_lines, path)
+
+
+def test_invalid_utf8_raises_as_the_line_parser_does(tmp_path):
+    path = tmp_path / "d.txt"
+    path.write_bytes(b"1,2,3\n2,\xff,4\n")
+    assert _outcome(load_ucr, path) == _outcome(dataset._load_lines, path)
+
+
+def test_generated_file_takes_the_c_reader(tmp_path):
+    path = tmp_path / "d.txt"
+    path.write_text(_generated_text(seed=1, rows=30, n=200))
+    fast = dataset._load_fast(path)
+    lines = dataset._load_lines(path)
+    assert fast.series.tobytes() == lines.series.tobytes()
+    assert fast.labels.tolist() == lines.labels.tolist()
 
 
 class TestDatasetPair:
