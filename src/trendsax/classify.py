@@ -32,6 +32,9 @@ __all__ = [
 # alphabet sizes swept when tuning unless the caller narrows the range
 DEFAULT_ALPHABET_RANGE = range(3, 21)
 
+# distances held at once by 1NN scoring; see ``_nearest``
+_CHUNK_BUDGET = 2**16
+
 
 @dataclass(frozen=True, eq=False)
 class LabeledDataset:
@@ -130,10 +133,42 @@ def _symbol_matrix(means: np.ndarray, table: AlphabetTable) -> np.ndarray:
     return np.searchsorted(table.breakpoints, means, side="left").astype(np.int64)
 
 
+def _fold(best: np.ndarray, arg: np.ndarray, d2: np.ndarray, offset: int) -> None:
+    """Fold a block whose columns start at ``offset`` into the running minima."""
+    j = np.argmin(d2, axis=1)
+    d = d2[np.arange(j.size), j]
+    better = d < best  # strict, so an earlier column keeps a tie
+    best[better], arg[better] = d[better], j[better] + offset
+
+
+def _nearest(a: np.ndarray, b: np.ndarray, sq_pair: np.ndarray, leave_one_out: bool = False) -> np.ndarray:
+    """Index of each ``a`` row's nearest ``b`` row, ties to the first index.
+
+    ``a`` is scored in row chunks, holding about ``_CHUNK_BUDGET`` distances
+    at once instead of A x B; this is exact, as ``_dist_sq_matrix`` sums an
+    element in one order whatever rows it is given.  ``leave_one_out``
+    scores ``a`` (``b is a``) without the diagonal from upper-triangle
+    strips only, chunk I against columns I0..N: the table is symmetric, so
+    ``d2[j, i] == d2[i, j]`` bit for bit, and a strip is folded into its
+    own rows and, transposed, into rows I1..N.  Every row meets its columns
+    in increasing order, so this equals one ``argmin`` of the full matrix.
+    """
+    best = np.full(a.shape[0], np.inf)
+    arg = np.zeros(a.shape[0], dtype=np.int64)
+    step = max(1, _CHUNK_BUDGET // b.shape[0])
+    for i0 in range(0, a.shape[0], step):
+        i1 = min(i0 + step, a.shape[0])
+        c0 = i0 if leave_one_out else 0
+        strip = _dist_sq_matrix(a[i0:i1], b[c0:], sq_pair)
+        if leave_one_out:
+            np.fill_diagonal(strip, np.inf)
+            _fold(best[i1:], arg[i1:], strip[:, i1 - i0:].T, i0)
+        _fold(best[i0:i1], arg[i0:i1], strip, c0)
+    return arg
+
+
 def _loocv_from_rows(rows: np.ndarray, labels: np.ndarray, table: AlphabetTable) -> float:
-    d2 = _dist_sq_matrix(rows, rows, table.pair_dist**2)
-    np.fill_diagonal(d2, np.inf)
-    predicted = labels[np.argmin(d2, axis=1)]
+    predicted = labels[_nearest(rows, rows, table.pair_dist**2, leave_one_out=True)]
     return int((predicted != labels).sum()) / labels.size
 
 
@@ -202,8 +237,7 @@ def evaluate(train: LabeledDataset, test: LabeledDataset, scheme: str, m: int,
     model, train_error, train_rows = _tune(train, scheme, m, alphabet_range)
     seg = segment(scheme, test.n, m)
     test_rows = _symbol_matrix(_paa_matrix(test.series, seg), model.table)
-    d2 = _dist_sq_matrix(test_rows, train_rows, model.table.pair_dist**2)
-    predicted = train.labels[np.argmin(d2, axis=1)]
+    predicted = train.labels[_nearest(test_rows, train_rows, model.table.pair_dist**2)]
     misclassified = int((predicted != test.labels).sum())
     total = len(test)
     return EvaluationReport(

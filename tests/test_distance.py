@@ -1,4 +1,6 @@
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +9,8 @@ from hypothesis import strategies as st
 
 import oracles
 import strategies
-from trendsax.classify import _loocv_from_rows, nn1
+from trendsax import classify
+from trendsax.classify import _loocv_from_rows, _nearest, nn1
 from trendsax.core import PaaVector, SaxWord, make_alphabet_table, paa, symbolize, znormalize
 from trendsax.distance import (
     LOWER_BOUND_TOLERANCE,
@@ -109,6 +112,24 @@ def kernel_case(alpha):
     return a, b, labels, table, oracles.pair_table(list(table.breakpoints))
 
 
+@functools.lru_cache(maxsize=None)
+def oracle_answers(alpha):
+    """The oracle's LOOCV error on ``kernel_case`` and its 1NN labels for the 120 queries."""
+    a, b, labels, _, ref_table = kernel_case(alpha)
+    error = oracles.loocv_error(a.tolist(), labels.tolist(), ref_table)
+    nn1_labels = [oracles.nn1(q, a.tolist(), labels.tolist(), ref_table) for q in b.tolist()]
+    return error, nn1_labels
+
+
+def tracemalloc_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestKernelAtScale:
     @pytest.mark.parametrize("alpha", [3, 20])
     def test_matrix_and_one_row_calls_equal_the_oracle(self, alpha):
@@ -132,6 +153,39 @@ class TestKernelAtScale:
         for query in b[:20]:
             want = oracles.nn1(query.tolist(), a.tolist(), labels.tolist(), ref_table)
             assert nn1(word_of(query, 3, 256), train, table) == want
+
+    @pytest.mark.parametrize("alpha", [3, 20])
+    @pytest.mark.parametrize("chunk_rows", [1, 7, 150])
+    def test_chunks_equal_one_argmin_and_the_oracle(self, monkeypatch, alpha, chunk_rows):
+        a, b, labels, table, _ = kernel_case(alpha)  # 150 rows: not a multiple of 7
+        sq = table.pair_dist**2
+        monkeypatch.setattr(classify, "_CHUNK_BUDGET", chunk_rows * a.shape[0])
+        d2 = _dist_sq_matrix(a, a, sq)
+        np.fill_diagonal(d2, np.inf)
+        assert np.array_equal(_nearest(a, a, sq, leave_one_out=True), np.argmin(d2, axis=1))
+        test_nearest = _nearest(b, a, sq)
+        assert np.array_equal(test_nearest, np.argmin(_dist_sq_matrix(b, a, sq), axis=1))
+        error, nn1_labels = oracle_answers(alpha)
+        assert _loocv_from_rows(a, labels, table) == error
+        assert labels[test_nearest].tolist() == nn1_labels
+
+    def test_distance_matrix_is_exactly_symmetric(self):
+        # the premise that lets leave-one-out compute only the upper strips
+        rng = np.random.default_rng(62)
+        for alpha in range(2, 27):
+            rows = rng.integers(0, alpha, size=(90, 48))
+            d2 = _dist_sq_matrix(rows, rows, make_alphabet_table(alpha).pair_dist**2)
+            assert np.array_equal(d2, d2.T), alpha
+
+    def test_memory_stays_bounded(self):
+        rng = np.random.default_rng(63)
+        table = make_alphabet_table(10)
+        rows = rng.integers(0, 10, size=(2000, 32))
+        labels = rng.integers(1, 5, size=2000)
+        # an unchunked leave-one-out holds two 2000 x 2000 float64 arrays, 64 MB
+        assert tracemalloc_peak(_loocv_from_rows, rows, labels, table) < 8e6
+        # unchunked test scoring would hold two 2000 x 1000 arrays, 32 MB
+        assert tracemalloc_peak(_nearest, rows, rows[:1000], table.pair_dist**2) < 8e6
 
 
 class TestVerifyLowerBound:
