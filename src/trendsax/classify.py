@@ -9,8 +9,8 @@ given configuration always produces the same report.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -76,15 +76,69 @@ class LabeledDataset:
         return self.series.shape[1]
 
 
+class _TrainingWords(Sequence):
+    """Training words stored as symbol rows: a read-only (N, m) int64 array and N labels.
+
+    Indexing and iteration build ``(SaxWord, label)`` pairs on demand.
+    ``m``, ``alphabet_size`` and ``source_length`` hold for every word, so
+    ``_check_compatible`` checks a query against all the rows at once as
+    it would against one word.
+    """
+
+    __slots__ = ("rows", "labels", "alphabet_size", "source_length")
+
+    def __init__(self, rows: np.ndarray, labels: np.ndarray, alphabet_size: int, source_length: int) -> None:
+        rows.flags.writeable = labels.flags.writeable = False
+        self.rows, self.labels = rows, labels
+        self.alphabet_size, self.source_length = alphabet_size, source_length
+
+    @property
+    def m(self) -> int:
+        return self.rows.shape[1]
+
+    def __len__(self) -> int:
+        return self.labels.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        return SaxWord(self.rows[i], self.alphabet_size, self.source_length), int(self.labels[i])
+
+
+def _stack_words(train_words: Iterable[tuple[SaxWord, int]], table: AlphabetTable) -> _TrainingWords:
+    """Stack outside ``(SaxWord, label)`` pairs, checking each word against the first and ``table``."""
+    pairs = list(train_words)
+    if not pairs:
+        raise ValueError("training set is empty")
+    first = pairs[0][0]
+    for word, _ in pairs:
+        _check_compatible(first, word, table)
+    rows = np.stack([word.symbols for word, _ in pairs])
+    labels = np.array([label for _, label in pairs], dtype=np.int64)
+    return _TrainingWords(rows, labels, first.alphabet_size, first.source_length)
+
+
 @dataclass(frozen=True, eq=False)
 class TunedModel:
-    """A trained configuration: chosen alphabet plus the training words."""
+    """A trained configuration: the chosen alphabet and the training words.
+
+    ``train_words`` is stored as the training symbol rows (read-only
+    (N, m) int64) and their labels, and reads as a sequence of
+    ``(SaxWord, label)`` pairs built on demand.  ``nn1`` scores those rows
+    as they are, with no stacking and no per-word check.  Any other
+    sequence of pairs given here is checked word by word against
+    ``table`` and stored as rows the same way.
+    """
 
     scheme: str
     m: int
     alphabet_size: int
-    train_words: tuple[tuple[SaxWord, int], ...]
+    train_words: Sequence[tuple[SaxWord, int]]
     table: AlphabetTable
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.train_words, _TrainingWords):
+            object.__setattr__(self, "train_words", _stack_words(self.train_words, self.table))
 
 
 @dataclass(frozen=True)
@@ -104,16 +158,18 @@ class EvaluationReport:
 def nn1(query: SaxWord, train_words: Sequence[tuple[SaxWord, int]], table: AlphabetTable) -> int:
     """Label of the training word closest to ``query``.
 
-    Equal distances resolve to the smallest training index.
+    ``train_words`` is either a ``TunedModel.train_words``, whose rows are
+    scored as they are, or any other sequence of ``(SaxWord, label)``
+    pairs, which is checked word by word and stacked once.  The query is
+    then checked once against the rows and ``table``: word length,
+    alphabet size and source length.  Equal distances resolve to the
+    smallest training index.
     """
-    if len(train_words) == 0:
-        raise ValueError("training set is empty")
-    for word, _ in train_words:
-        _check_compatible(query, word, table)
-    rows = np.stack([w.symbols for w, _ in train_words])
-    labels = np.array([label for _, label in train_words], dtype=np.int64)
-    d2 = _dist_sq_matrix(query.symbols[None, :], rows, table.pair_dist**2)[0]
-    return int(labels[int(np.argmin(d2))])
+    if not isinstance(train_words, _TrainingWords):
+        train_words = _stack_words(train_words, table)
+    _check_compatible(query, train_words, table)
+    d2 = _dist_sq_matrix(query.symbols[None, :], train_words.rows, table.pair_dist**2)[0]
+    return int(train_words.labels[int(np.argmin(d2))])
 
 
 def _paa_matrix(series: np.ndarray, seg: Segmentation) -> np.ndarray:
@@ -192,8 +248,8 @@ def _normalized_alphabet_range(alphabet_range: Iterable[int]) -> list[int]:
 
 
 def _tune(train: LabeledDataset, scheme: str, m: int,
-          alphabet_range: Iterable[int]) -> tuple[TunedModel, float, np.ndarray]:
-    """Tuned model, its leave-one-out error, and the training symbol rows."""
+          alphabet_range: Iterable[int]) -> tuple[TunedModel, float]:
+    """Tuned model and its leave-one-out error."""
     if len(train) < 2:
         raise ValueError("tuning needs at least 2 training instances")
     alphas = _normalized_alphabet_range(alphabet_range)
@@ -209,12 +265,8 @@ def _tune(train: LabeledDataset, scheme: str, m: int,
         error = _loocv_from_rows(rows, train.labels, table)
         if best_error is None or error < best_error:
             best_alpha, best_error, best_rows, best_table = alpha, error, rows, table
-    words = tuple(
-        (SaxWord(row, best_alpha, seg.n_effective), int(label))
-        for row, label in zip(best_rows, train.labels)
-    )
-    model = TunedModel(scheme, m, best_alpha, words, best_table)
-    return model, best_error, best_rows
+    words = _TrainingWords(best_rows, train.labels, best_alpha, seg.n_effective)
+    return TunedModel(scheme, m, best_alpha, words, best_table), best_error
 
 
 def tune_alphabet(train: LabeledDataset, scheme: str, m: int,
@@ -224,8 +276,7 @@ def tune_alphabet(train: LabeledDataset, scheme: str, m: int,
     The sweep shares one aggregation pass across all candidate sizes and
     resolves ties toward the smallest alphabet.
     """
-    model, _, _ = _tune(train, scheme, m, alphabet_range)
-    return model
+    return _tune(train, scheme, m, alphabet_range)[0]
 
 
 def evaluate(train: LabeledDataset, test: LabeledDataset, scheme: str, m: int,
@@ -234,10 +285,11 @@ def evaluate(train: LabeledDataset, test: LabeledDataset, scheme: str, m: int,
     """Tune on the training split, then score 1NN accuracy on the test split."""
     if train.n != test.n:
         raise ValueError(f"train and test series lengths differ: {train.n} vs {test.n}")
-    model, train_error, train_rows = _tune(train, scheme, m, alphabet_range)
+    model, train_error = _tune(train, scheme, m, alphabet_range)
     seg = segment(scheme, test.n, m)
     test_rows = _symbol_matrix(_paa_matrix(test.series, seg), model.table)
-    predicted = train.labels[_nearest(test_rows, train_rows, model.table.pair_dist**2)]
+    words = model.train_words
+    predicted = words.labels[_nearest(test_rows, words.rows, model.table.pair_dist**2)]
     misclassified = int((predicted != test.labels).sum())
     total = len(test)
     return EvaluationReport(

@@ -44,11 +44,12 @@ def _dist_sq_matrix(a: np.ndarray, b: np.ndarray, sq_pair: np.ndarray) -> np.nda
     Many rows: per position k, gather the alpha x B column block
     ``sq_pair[:, b[:, k]]``, take its rows ``a[:, k]`` and add it into the
     total, one position at a time.  One row (``nn1``, ``mindist``): the
-    last column of ``cumsum`` over the B x m gathered entries, which also
-    adds sequentially from the first term.
+    last column of ``cumsum`` over the B x m entries gathered by one flat
+    index, which also adds sequentially from the first term (``sum`` would
+    add pairwise and change the last bits).
     """
     if a.shape[0] == 1:
-        return np.cumsum(sq_pair[a[0], b], axis=1)[None, :, -1]
+        return np.cumsum(sq_pair.ravel()[a[0] * sq_pair.shape[0] + b], axis=1)[None, :, -1]
     out = np.zeros((a.shape[0], b.shape[0]), dtype=np.float64)
     for k in range(a.shape[1]):
         out += sq_pair[:, b[:, k]][a[:, k]]

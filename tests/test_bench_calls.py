@@ -4,11 +4,15 @@
 rebinds functions by name and reads their arguments by name, so a
 renamed function or a dropped parameter would break the stream workload
 or ``--trace 1`` without failing any other test.  ``bench/`` is only
-read here.
+read here, and the stream workload is run once for half a second as a
+smoke test; its scratch directory is removed when it exits.
 """
 
 import importlib
 import inspect
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -47,3 +51,16 @@ def test_stream_calls_bind():
 ], ids=["evaluate", "tune_alphabet"])
 def test_observed_parameters_exist(fn, observed):
     assert observed <= set(inspect.signature(fn).parameters)
+
+
+def test_stream_workload_runs_and_checks_its_answers():
+    # drives nn1 on model.train_words and the brute-force label check in bench/measure.py
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(
+        [sys.executable, str(BENCH / "run.py"), "--workload", "stream", "--seed", "0",
+         "--seconds", "0.5", "--trace", "0"],
+        env=env, capture_output=True, text=True, timeout=170,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0

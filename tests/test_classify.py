@@ -7,6 +7,7 @@ import oracles
 from trendsax.classify import (
     EvaluationReport,
     LabeledDataset,
+    TunedModel,
     _paa_matrix,
     evaluate,
     loocv_error,
@@ -99,6 +100,28 @@ class TestNn1:
         with pytest.raises(ValueError):
             nn1(word_of([0], 3, 4), [], make_alphabet_table(3))
 
+    @pytest.mark.parametrize("path", ["model view", "list"])
+    @pytest.mark.parametrize("query, alpha", [
+        (word_of([0, 1, 2], 4, 12), 4),     # word length
+        (word_of([0, 1, 2, 3], 5, 16), 4),  # alphabet size
+        (word_of([0, 1, 2, 3], 4, 20), 4),  # source length
+        (word_of([0, 1, 2, 3], 4, 16), 5),  # a table of another alphabet
+    ], ids=["word length", "alphabet size", "source length", "table"])
+    def test_rejects_mismatched_query_or_table(self, path, query, alpha):
+        rng = np.random.default_rng(71)
+        model = tune_alphabet(random_dataset(rng, 8, 16), "classic", 4, alphabet_range=[4])
+        train = model.train_words if path == "model view" else list(model.train_words)
+        assert nn1(word_of([0, 1, 2, 3], 4, 16), train, model.table) in (1, 2)
+        with pytest.raises(ValueError):
+            nn1(query, train, make_alphabet_table(alpha))
+
+    def test_rejects_mismatched_words_in_a_list(self):
+        table = make_alphabet_table(4)
+        query = word_of([0, 1, 2, 3], 4, 16)
+        for odd in (word_of([0, 1, 2], 4, 12), word_of([0, 1, 2, 3], 5, 16), word_of([0, 1, 2, 3], 4, 20)):
+            with pytest.raises(ValueError):
+                nn1(query, [(query, 1), (odd, 2)], table)
+
 
 class TestLoocv:
     def test_identical_twins_same_label(self):
@@ -176,6 +199,23 @@ class TestTuneAlphabet:
             w.symbols.tolist() for w in expected
         ]
         assert [label for _, label in model.train_words] == data.labels.tolist()
+
+    def test_model_stores_given_words_as_read_only_rows(self):
+        table = make_alphabet_table(4)
+        words = ((word_of([0, 1, 2, 3], 4, 16), 1), (word_of([3, 2, 1, 0], 4, 16), 2))
+        model = TunedModel("classic", 4, 4, words, table)
+        assert len(model.train_words) == 2
+        assert [(w.symbols.tolist(), label) for w, label in model.train_words[::-1]] == [
+            ([3, 2, 1, 0], 2), ([0, 1, 2, 3], 1)
+        ]
+        assert model.train_words[-1][0].source_length == 16
+        with pytest.raises(ValueError):
+            model.train_words.rows[0, 0] = 1
+        for odd in (word_of([0, 1, 2], 4, 12), word_of([0, 1, 2, 3], 5, 16), word_of([0, 1, 2, 3], 4, 20)):
+            with pytest.raises(ValueError):
+                TunedModel("classic", 4, 4, words + ((odd, 3),), table)
+        with pytest.raises(ValueError):
+            TunedModel("classic", 4, 4, (), table)
 
     def test_rejects_bad_range(self):
         rng = np.random.default_rng(89)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import oracles
 import strategies
 from trendsax import classify
-from trendsax.classify import _loocv_from_rows, _nearest, nn1
+from trendsax.classify import TunedModel, _loocv_from_rows, _nearest, nn1
 from trendsax.core import PaaVector, SaxWord, make_alphabet_table, paa, symbolize, znormalize
 from trendsax.distance import (
     LOWER_BOUND_TOLERANCE,
@@ -72,7 +72,8 @@ class TestMindist:
         table = make_alphabet_table(6)
         ref_table = oracles.pair_table(list(table.breakpoints))
         for _ in range(50):
-            m = int(rng.integers(1, 20))
+            # long words too: a pairwise sum would change the last bits
+            m = int(rng.integers(1, 201))
             a = rng.integers(0, 6, size=m).tolist()
             b = rng.integers(0, 6, size=m).tolist()
             got = mindist(word_of(a, 6, m * 4), word_of(b, 6, m * 4), table)
@@ -140,6 +141,8 @@ class TestKernelAtScale:
         assert d2.tolist() == want
         for i in range(a.shape[0]):
             assert np.array_equal(_dist_sq_matrix(a[i:i + 1], b, sq)[0], d2[i])
+            for width in (1, 2):  # the one-row calls of mindist and of a tiny nn1
+                assert _dist_sq_matrix(a[i:i + 1], b[:width], sq)[0].tolist() == want[i][:width]
 
     def test_first_index_tie_break_matches_the_oracle(self):
         a, b, labels, table, ref_table = kernel_case(3)
@@ -153,6 +156,18 @@ class TestKernelAtScale:
         for query in b[:20]:
             want = oracles.nn1(query.tolist(), a.tolist(), labels.tolist(), ref_table)
             assert nn1(word_of(query, 3, 256), train, table) == want
+
+    def test_nn1_on_the_model_view_and_a_list_equal_the_oracle(self):
+        a, b, labels, table, ref_table = kernel_case(3)
+        d2 = _dist_sq_matrix(b, a, table.pair_dist**2)
+        tied = (d2 == d2.min(axis=1, keepdims=True)).sum(axis=1) > 1
+        assert tied.mean() > 0.3  # the first-index rule decides many queries
+        model = TunedModel("classic", 64, 3, [(word_of(r, 3, 256), int(l)) for r, l in zip(a, labels)], table)
+        words = list(model.train_words)
+        for query in b:
+            want = oracles.nn1(query.tolist(), a.tolist(), labels.tolist(), ref_table)
+            word = word_of(query, 3, 256)
+            assert nn1(word, model.train_words, table) == nn1(word, words, table) == want
 
     @pytest.mark.parametrize("alpha", [3, 20])
     @pytest.mark.parametrize("chunk_rows", [1, 7, 150])
