@@ -20,7 +20,7 @@ from typing import Iterable
 
 from trendsax.classify import DEFAULT_ALPHABET_RANGE, EvaluationReport, _normalized_alphabet_range, evaluate
 from trendsax.dataset import DatasetPair, load_dataset_pair
-from trendsax.segmentation import SCHEMES
+from trendsax.segmentation import SCHEMES, _check_scheme
 
 __all__ = [
     "BenchmarkConfig",
@@ -45,6 +45,9 @@ CSV_COLUMNS = (
     "is_row_min",
 )
 
+# how read_report_csv parses each column of CSV_COLUMNS
+_CSV_TYPES = (str, str, int, int, float, float, int, int, "true".__eq__)
+
 REPORT_FORMATS = ("csv", "json", "text")
 
 
@@ -64,8 +67,7 @@ class BenchmarkConfig:
 
     def __post_init__(self) -> None:
         for scheme in self.schemes:
-            if scheme not in SCHEMES:
-                raise ValueError(f"unknown scheme {scheme!r}")
+            _check_scheme(scheme)
         if not self.schemes:
             raise ValueError("at least one scheme is required")
         _normalized_alphabet_range(self.alphabet_range)
@@ -107,22 +109,26 @@ class BenchmarkMatrix:
         return min((report.test_error for report in row.reports.values()), default=None)
 
 
+def _evaluate_pair(pair: DatasetPair, config: BenchmarkConfig) -> dict[str, EvaluationReport]:
+    """The report of every scheme in ``config`` on ``pair``, in config order."""
+    m = config.word_count_for(pair.train.n)
+    return {
+        scheme: evaluate(
+            pair.train,
+            pair.test,
+            scheme=scheme,
+            m=m,
+            alphabet_range=config.alphabet_range,
+            dataset=pair.name,
+        )
+        for scheme in config.schemes
+    }
+
+
 def _dataset_row(source: DatasetPair | Path, config: BenchmarkConfig) -> BenchmarkRow:
     try:
         pair = source if isinstance(source, DatasetPair) else load_dataset_pair(source)
-        m = config.word_count_for(pair.train.n)
-        reports = {
-            scheme: evaluate(
-                pair.train,
-                pair.test,
-                scheme=scheme,
-                m=m,
-                alphabet_range=config.alphabet_range,
-                dataset=pair.name,
-            )
-            for scheme in config.schemes
-        }
-        return BenchmarkRow(pair.name, reports)
+        return BenchmarkRow(pair.name, _evaluate_pair(pair, config))
     except Exception as exc:
         return _failed_row(source, exc)
 
@@ -175,7 +181,8 @@ def run_benchmark(
     config = config or BenchmarkConfig()
     pairs = tuple(p if isinstance(p, DatasetPair) else Path(p) for p in pairs)
     if config.jobs > 1 and len(pairs) > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        # the fork start method starts every worker at the first submit
+        with ProcessPoolExecutor(max_workers=min(config.jobs, len(pairs))) as pool:
             futures = [pool.submit(_dataset_row, pair, config) for pair in pairs]
             rows = tuple(_worker_row(future, pair, config) for future, pair in zip(futures, pairs))
     else:
@@ -200,17 +207,23 @@ def _ordered_reports(row: BenchmarkRow) -> list[tuple[str, EvaluationReport]]:
     return sorted(row.reports.items(), key=lambda item: SCHEMES.index(item[0]))
 
 
-def _emit_csv(matrix: BenchmarkMatrix) -> str:
+def _csv_text(header: Iterable[object], rows: Iterable[Iterable[object]]) -> str:
+    """CSV with ``\n`` line ends and floats in their shortest round-trip form."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
+    writer.writerow(header)
+    writer.writerows([repr(v) if isinstance(v, float) else v for v in row] for row in rows)
+    return out.getvalue()
+
+
+def _emit_csv(matrix: BenchmarkMatrix) -> str:
+    rows = []
     for row in matrix.rows:
         best = matrix.row_min(row)
         for scheme, report in _ordered_reports(row):
-            fields = [repr(v) if isinstance(v, float) else v for v in report_fields(report).values()]
-            writer.writerow([row.dataset, scheme, *fields,
-                             "true" if report.test_error == best else "false"])
-    return out.getvalue()
+            rows.append([row.dataset, scheme, *report_fields(report).values(),
+                         "true" if report.test_error == best else "false"])
+    return _csv_text(CSV_COLUMNS, rows)
 
 
 def _emit_json(matrix: BenchmarkMatrix) -> str:
@@ -285,23 +298,16 @@ def emit_report(matrix: BenchmarkMatrix, fmt: str = "csv") -> str:
 
 
 def read_report_csv(text: str) -> list[dict[str, object]]:
-    """Parse :func:`emit_report` CSV output back into typed row dicts."""
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None or tuple(reader.fieldnames) != CSV_COLUMNS:
-        raise ValueError(f"unexpected CSV header {reader.fieldnames!r}")
+    """Parse :func:`emit_report` CSV back into typed row dicts; a malformed row's error names its line."""
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
+    if header is None or tuple(header) != CSV_COLUMNS:
+        raise ValueError(f"unexpected CSV header {header!r}")
     rows: list[dict[str, object]] = []
-    for record in reader:
-        rows.append(
-            {
-                "dataset": record["dataset"],
-                "scheme": record["scheme"],
-                "alpha_chosen": int(record["alpha_chosen"]),
-                "m": int(record["m"]),
-                "train_error": float(record["train_error"]),
-                "test_error": float(record["test_error"]),
-                "misclassified": int(record["misclassified"]),
-                "total": int(record["total"]),
-                "is_row_min": record["is_row_min"] == "true",
-            }
-        )
+    for record in filter(None, reader):  # blank lines hold no row
+        if len(record) != len(CSV_COLUMNS):
+            raise ValueError(f"line {reader.line_num}: expected {len(CSV_COLUMNS)} fields, got {len(record)}")
+        if record[-1] not in ("true", "false"):
+            raise ValueError(f"line {reader.line_num}: is_row_min must be true or false, got {record[-1]!r}")
+        rows.append({name: parse(cell) for name, parse, cell in zip(CSV_COLUMNS, _CSV_TYPES, record)})
     return rows

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from trendsax.core import MAX_ALPHABET, AlphabetTable, SaxWord, _znormalize_rows, make_alphabet_table
+from trendsax.core import (MAX_ALPHABET, AlphabetTable, SaxWord, _paa_matrix, _symbol_matrix,
+                           make_alphabet_table)
 from trendsax.distance import _check_compatible, _dist_sq_matrix
-from trendsax.segmentation import Segmentation, segment
+from trendsax.segmentation import _check_scheme, segment
 
 __all__ = [
     "DEFAULT_ALPHABET_RANGE",
@@ -127,7 +128,8 @@ class TunedModel:
     ``(SaxWord, label)`` pairs built on demand.  ``nn1`` scores those rows
     as they are, with no stacking and no per-word check.  Any other
     sequence of pairs given here is checked word by word against
-    ``table`` and stored as rows the same way.
+    ``table`` and stored as rows the same way.  ``m`` and ``alphabet_size``
+    must match the words and ``table``.
     """
 
     scheme: str
@@ -137,8 +139,13 @@ class TunedModel:
     table: AlphabetTable
 
     def __post_init__(self) -> None:
+        _check_scheme(self.scheme)
         if not isinstance(self.train_words, _TrainingWords):
             object.__setattr__(self, "train_words", _stack_words(self.train_words, self.table))
+        if self.m != self.train_words.m:
+            raise ValueError(f"m={self.m} but the training words have m={self.train_words.m}")
+        if self.alphabet_size != self.table.alphabet_size:
+            raise ValueError(f"alphabet_size={self.alphabet_size} but table has {self.table.alphabet_size}")
 
 
 @dataclass(frozen=True)
@@ -170,23 +177,6 @@ def nn1(query: SaxWord, train_words: Sequence[tuple[SaxWord, int]], table: Alpha
     _check_compatible(query, train_words, table)
     d2 = _dist_sq_matrix(query.symbols[None, :], train_words.rows, table.pair_dist**2)[0]
     return int(train_words.labels[int(np.argmin(d2))])
-
-
-def _paa_matrix(series: np.ndarray, seg: Segmentation) -> np.ndarray:
-    """Per-row z-normalization followed by block averaging; (N, m) means.
-
-    Equal bit for bit to ``paa(znormalize(row), seg).means`` per row: the
-    block means are gathered row by row, because one (N, m, w) gather
-    sums its blocks in another order once ``w >= 8``.
-    """
-    z = _znormalize_rows(series)
-    if not np.isfinite(z).all():  # the mean or std overflowed
-        raise ValueError("series contains non-finite values")
-    return np.stack([row[seg.blocks].mean(axis=1) for row in z])
-
-
-def _symbol_matrix(means: np.ndarray, table: AlphabetTable) -> np.ndarray:
-    return np.searchsorted(table.breakpoints, means, side="left").astype(np.int64)
 
 
 def _fold(best: np.ndarray, arg: np.ndarray, d2: np.ndarray, offset: int) -> None:

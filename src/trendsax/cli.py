@@ -13,8 +13,6 @@ is still written, the failure goes to stderr, and the exit status is 1.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from pathlib import Path
@@ -24,12 +22,14 @@ import numpy as np
 from trendsax.benchmark import (
     BenchmarkConfig,
     REPORT_FORMATS,
+    _csv_text,
+    _evaluate_pair,
     emit_report,
     report_fields,
     run_benchmark,
 )
-from trendsax.classify import DEFAULT_ALPHABET_RANGE, _paa_matrix, _symbol_matrix, evaluate
-from trendsax.core import SaxWord, make_alphabet_table
+from trendsax.classify import DEFAULT_ALPHABET_RANGE
+from trendsax.core import SaxWord, _paa_matrix, _symbol_matrix, make_alphabet_table
 from trendsax.dataset import load_dataset_pair, load_ucr
 from trendsax.distance import verify_lower_bound
 from trendsax.segmentation import SCHEMES, segment
@@ -65,15 +65,10 @@ def _add_common_flags(parser: argparse.ArgumentParser, schemes_default: str = "c
 
 
 def _schemes_from(arg: str) -> tuple[str, ...]:
+    """``all`` or a comma-separated list; ``BenchmarkConfig`` checks the names."""
     if arg == "all":
         return SCHEMES
-    schemes = tuple(s.strip() for s in arg.split(",") if s.strip())
-    for scheme in schemes:
-        if scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES} or 'all'")
-    if not schemes:
-        raise ValueError("no scheme given")
-    return schemes
+    return tuple(s.strip() for s in arg.split(",") if s.strip())
 
 
 def _single_scheme_from(arg: str) -> str:
@@ -92,9 +87,9 @@ def _write_output(text: str, out: str | None) -> None:
 
 def _cmd_convert(args: argparse.Namespace) -> int:
     scheme = _single_scheme_from(args.scheme)
-    lengths = BenchmarkConfig(word_count=args.word_count, ratio=args.ratio)
+    config = BenchmarkConfig(schemes=(scheme,), word_count=args.word_count, ratio=args.ratio)
     data = load_ucr(args.file)
-    m = lengths.word_count_for(data.n)
+    m = config.word_count_for(data.n)
     seg = segment(scheme, data.n, m)
     table = make_alphabet_table(args.alphabet)
     rows = _symbol_matrix(_paa_matrix(data.series, seg), table)
@@ -106,11 +101,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
         payload = [{"index": i, "label": lab, "word": w} for i, lab, w in records]
         text = json.dumps(payload, indent=2) + "\n"
     elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["index", "label", "word"])
-        writer.writerows(records)
-        text = buf.getvalue()
+        text = _csv_text(["index", "label", "word"], records)
     else:
         text = "".join(f"{i}\t{lab}\t{w}\n" for i, lab, w in records)
     _write_output(text, args.out)
@@ -122,16 +113,17 @@ def _cmd_verify_bound(args: argparse.Namespace) -> int:
         raise ValueError("pairs must be positive")
     if args.length < 1:
         raise ValueError("length must be positive")
-    schemes = _schemes_from(args.scheme)
+    config = BenchmarkConfig(schemes=_schemes_from(args.scheme),
+                             word_count=args.word_count, ratio=args.ratio)
     rng = np.random.default_rng(args.seed)
-    m = BenchmarkConfig(word_count=args.word_count, ratio=args.ratio).word_count_for(args.length)
+    m = config.word_count_for(args.length)
     checked = 0
     violations = 0
     worst = float("inf")
     for _ in range(args.pairs):
         s = rng.standard_normal(args.length)
         t = rng.standard_normal(args.length)
-        for scheme in schemes:
+        for scheme in config.schemes:
             report = verify_lower_bound(s, t, scheme, m, args.alphabet)
             checked += 1
             worst = min(worst, report.slack)
@@ -139,7 +131,7 @@ def _cmd_verify_bound(args: argparse.Namespace) -> int:
                 violations += 1
     status = "ok" if violations == 0 else "VIOLATED"
     print(
-        f"{status}: {checked} checks ({args.pairs} pairs x {len(schemes)} schemes), "
+        f"{status}: {checked} checks ({args.pairs} pairs x {len(config.schemes)} schemes), "
         f"length={args.length} m={m} alphabet={args.alphabet} seed={args.seed}, "
         f"min slack={worst:.6g}"
     )
@@ -148,21 +140,15 @@ def _cmd_verify_bound(args: argparse.Namespace) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     scheme = _single_scheme_from(args.scheme)
-    config = BenchmarkConfig(alphabet_range=args.alphabet_range,
+    config = BenchmarkConfig(schemes=(scheme,), alphabet_range=args.alphabet_range,
                              word_count=args.word_count, ratio=args.ratio)
     pair = load_dataset_pair(args.dataset)
-    m = config.word_count_for(pair.train.n)
-    report = evaluate(pair.train, pair.test, scheme, m,
-                      alphabet_range=config.alphabet_range, dataset=pair.name)
+    report = _evaluate_pair(pair, config)[scheme]
     record = {"dataset": report.dataset, "scheme": report.scheme, **report_fields(report)}
     if args.format == "json":
         text = json.dumps(record, indent=2) + "\n"
     elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(record.keys())
-        writer.writerow([repr(v) if isinstance(v, float) else v for v in record.values()])
-        text = buf.getvalue()
+        text = _csv_text(record.keys(), [record.values()])
     else:
         text = "".join(f"{key}: {value}\n" for key, value in record.items())
     _write_output(text, args.out)

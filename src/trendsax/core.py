@@ -67,6 +67,24 @@ def _znormalize_rows(x: np.ndarray) -> np.ndarray:
     return np.divide(x - mu, sd, out=np.zeros_like(x), where=sd >= _DEGENERATE_STD)
 
 
+def _paa_matrix(series: np.ndarray, seg: Segmentation) -> np.ndarray:
+    """Per-row z-normalization followed by block averaging; (N, m) means.
+
+    Equal bit for bit to ``paa(znormalize(row), seg).means`` per row: the
+    block means are gathered row by row, because one (N, m, w) gather
+    sums its blocks in another order once ``w >= 8``.
+    """
+    z = _znormalize_rows(series)
+    if not np.isfinite(z).all():  # the mean or std overflowed
+        raise ValueError("series contains non-finite values")
+    return np.stack([row[seg.blocks].mean(axis=1) for row in z])
+
+
+def _symbol_matrix(means: np.ndarray, table: AlphabetTable) -> np.ndarray:
+    """:func:`symbolize` of every row of ``means`` at once; int64 symbols, same shape."""
+    return np.searchsorted(table.breakpoints, means, side="left").astype(np.int64)
+
+
 # Rational approximation coefficients for the standard-normal quantile
 # (Acklam's method), refined below by one Newton step.
 _Q_A = (
@@ -299,5 +317,4 @@ def symbolize(vector: PaaVector, table: AlphabetTable) -> SaxWord:
     the interval below it.  Equivalently, the symbol index is the number of
     breakpoints strictly less than the mean.
     """
-    symbols = np.searchsorted(table.breakpoints, vector.means, side="left")
-    return SaxWord(symbols.astype(np.int64), table.alphabet_size, vector.source_length)
+    return SaxWord(_symbol_matrix(vector.means, table), table.alphabet_size, vector.source_length)

@@ -102,16 +102,12 @@ def verify_lower_bound(
     the same segmentation and alphabet.  ``holds`` reports whether
     ``mindist <= euclidean + 1e-9``; ``slack`` is the remaining gap.
     """
-    x = np.asarray(s, dtype=np.float64)
-    y = np.asarray(t, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError(f"series must be one-dimensional and equal length, got {x.shape} and {y.shape}")
-    seg = segment(scheme, x.size, m)
+    ed = euclidean(s, t)  # checks the pair first
+    seg = segment(scheme, len(s), m)
     table = make_alphabet_table(alphabet_size)
-    word_s = symbolize(paa(x, seg), table)
-    word_t = symbolize(paa(y, seg), table)
+    word_s = symbolize(paa(s, seg), table)
+    word_t = symbolize(paa(t, seg), table)
     md = mindist(word_s, word_t, table)
-    ed = euclidean(x, y)
     return LowerBoundReport(
         mindist=md,
         euclidean=ed,

@@ -41,6 +41,11 @@ __all__ = ["SCHEMES", "Segmentation", "segment"]
 SCHEMES = ("classic", "overlap", "intertwine", "split")
 
 
+def _check_scheme(scheme: str) -> None:
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+
+
 @dataclass(frozen=True, eq=False)
 class Segmentation:
     """An exact partition of ``{0, ..., n_effective - 1}`` into equal blocks.
@@ -58,8 +63,7 @@ class Segmentation:
     blocks: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
+        _check_scheme(self.scheme)
         if self.m < 1 or self.n_effective < 1 or self.n_effective % self.m:
             raise ValueError(
                 f"n_effective={self.n_effective} is not a positive multiple of m={self.m}"

@@ -1,11 +1,13 @@
 import json
 import os
 import re
+from concurrent.futures import Future
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trendsax import benchmark
 from trendsax.benchmark import (
     BenchmarkConfig,
     BenchmarkMatrix,
@@ -131,6 +133,33 @@ class TestRunBenchmark:
         serial = {row.dataset: row for row in suite_matrix.rows}
         for row in (matrix.rows[0], matrix.rows[2]):
             assert row == serial[row.dataset]
+
+    @pytest.mark.parametrize("jobs, datasets, workers", [(6, 2, 2), (2, 3, 2), (3, 3, 3)])
+    def test_pool_starts_no_more_workers_than_datasets(self, jobs, datasets, workers,
+                                                       suite_pairs, suite_matrix, monkeypatch):
+        started = []
+
+        class InlinePool:
+            """Records the pool size and runs each call here, so no process starts."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(benchmark, "ProcessPoolExecutor", InlinePool)
+        matrix = run_benchmark(suite_pairs[:datasets], BenchmarkConfig(jobs=jobs))
+        assert started == [workers]
+        assert matrix.rows == suite_matrix.rows[:datasets]
 
     def test_row_order_follows_input_order(self, suite_pairs, suite_matrix):
         reversed_matrix = run_benchmark(list(reversed(suite_pairs)), BenchmarkConfig())
@@ -261,6 +290,21 @@ class TestEmitReport:
     def test_read_rejects_foreign_header(self):
         with pytest.raises(ValueError):
             read_report_csv("alpha,beta\n1,2\n")
+
+    @pytest.mark.parametrize("row, message", [
+        ("Toy,split,3,4,0.0,0.2,2,10", "line 3: expected 9 fields, got 8"),
+        ("Toy,split,3,4,0.0,0.2,2,10,true,7", "line 3: expected 9 fields, got 10"),
+        ("Toy,split,3,4,0.0,0.2,2,10,True", "line 3: is_row_min must be true or false, got 'True'"),
+        ("Toy,split,3,4,0.0,0.2,2,10,", "line 3: is_row_min must be true or false, got ''"),
+    ], ids=["missing-field", "extra-field", "capitalized-flag", "empty-flag"])
+    def test_read_rejects_malformed_row_naming_its_line(self, row, message):
+        text = ",".join(CSV_COLUMNS) + "\nToy,classic,3,4,0.0,0.2,2,10,true\n" + row + "\n"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_report_csv(text)
+
+    def test_read_skips_blank_lines(self, suite_matrix):
+        text = emit_report(suite_matrix, "csv")
+        assert read_report_csv(text.replace("\n", "\n\n")) == read_report_csv(text)
 
 
 # ----------------------------------------------------------------- properties

@@ -8,13 +8,12 @@ from trendsax.classify import (
     EvaluationReport,
     LabeledDataset,
     TunedModel,
-    _paa_matrix,
     evaluate,
     loocv_error,
     nn1,
     tune_alphabet,
 )
-from trendsax.core import AlphabetTable, SaxWord, make_alphabet_table, paa, symbolize, znormalize
+from trendsax.core import AlphabetTable, SaxWord, _paa_matrix, make_alphabet_table, paa, symbolize, znormalize
 from trendsax.segmentation import SCHEMES, segment
 
 
@@ -216,6 +215,21 @@ class TestTuneAlphabet:
                 TunedModel("classic", 4, 4, words + ((odd, 3),), table)
         with pytest.raises(ValueError):
             TunedModel("classic", 4, 4, (), table)
+
+    @pytest.mark.parametrize("scheme, m, alphabet_size, message", [
+        ("classic", 7, 4, "m=7 but the training words have m=4"),
+        ("classic", 4, 9, "alphabet_size=9 but table has 4"),
+        ("classic", 7, 9, "m=7 but the training words have m=4"),
+        ("nonsense", 4, 4, "unknown scheme 'nonsense'"),
+    ])
+    def test_model_rejects_values_its_data_contradicts(self, scheme, m, alphabet_size, message):
+        table = make_alphabet_table(4)
+        words = ((word_of([0, 1, 2, 3], 4, 16), 1), (word_of([3, 2, 1, 0], 4, 16), 2))
+        with pytest.raises(ValueError, match=message):
+            TunedModel(scheme, m, alphabet_size, words, table)
+        tuned = tune_alphabet(random_dataset(np.random.default_rng(5), 6, 16), "classic", 4, [4])
+        with pytest.raises(ValueError, match=message):
+            TunedModel(scheme, m, alphabet_size, tuned.train_words, tuned.table)
 
     def test_rejects_bad_range(self):
         rng = np.random.default_rng(89)

@@ -8,6 +8,7 @@ import pytest
 
 from trendsax.benchmark import read_report_csv
 from trendsax.cli import _parse_alphabet_range, build_parser, main
+from trendsax.segmentation import SCHEMES
 
 
 # an --alphabet-range that no run can use, and the error it must print
@@ -49,6 +50,14 @@ class TestParsing:
             assert code == 1, command
             assert out == ""
             assert err == f"{expected} must be positive\n", command
+
+    @pytest.mark.parametrize("command", [["convert", "absent.txt"], ["evaluate", "absent"],
+                                         ["benchmark", "absent"]])
+    def test_bad_scheme_fails_before_any_file_is_read(self, command, tmp_path, capsys):
+        code, out, err = run_cli([command[0], str(tmp_path / command[1]), "--scheme", "diagonal"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: unknown scheme 'diagonal'; expected one of {SCHEMES}\n"
 
     def test_word_count_and_ratio_are_exclusive(self):
         with pytest.raises(SystemExit) as exc:
@@ -306,6 +315,24 @@ class TestBenchmark:
         assert code == 0
         assert out.splitlines()[0].split()[0] == "dataset"
         assert out.splitlines()[-1].startswith("wins")
+
+
+# sha256 of ``convert Mini_TRAIN.txt`` and ``evaluate mini`` with default
+# flags, recorded before the CSV writer and the pair scorer were shared
+# with the benchmark; a change to any of these is a change to output bytes
+@pytest.mark.parametrize("command, fmt, digest", [
+    ("convert", "text", "07d790cf9d67f15a6c5dbca3e8b5b87597732d3174c2107045fecef809fd58ba"),
+    ("convert", "csv", "074a9c72deaf614f080059621b9aa23fb1bb33eea33385099e19bec3fe1b040a"),
+    ("convert", "json", "039e94aeb0143e0658634e05d1683763fa37abf7086d84bb5c6f59a6204b64af"),
+    ("evaluate", "text", "87ff86012d2f6a7e63d2b2f1ba42997412de3ee2b143305ea825315a2656f91b"),
+    ("evaluate", "csv", "33e180e1ba3253785982181d6fe1c7811440d6a1918dd1bf35343ae695ce006f"),
+    ("evaluate", "json", "9140468b728f694dc1820a7ac3bd1e4c82f031314cb5019f72c2c125f4dc0171"),
+])
+def test_mini_output_bytes_are_golden(command, fmt, digest, mini_dir, capsys):
+    target = mini_dir / "Mini_TRAIN.txt" if command == "convert" else mini_dir
+    code, out, _ = run_cli([command, str(target), "--format", fmt], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestEntryPoint:
