@@ -309,5 +309,8 @@ def read_report_csv(text: str) -> list[dict[str, object]]:
             raise ValueError(f"line {reader.line_num}: expected {len(CSV_COLUMNS)} fields, got {len(record)}")
         if record[-1] not in ("true", "false"):
             raise ValueError(f"line {reader.line_num}: is_row_min must be true or false, got {record[-1]!r}")
-        rows.append({name: parse(cell) for name, parse, cell in zip(CSV_COLUMNS, _CSV_TYPES, record)})
+        try:
+            rows.append({name: parse(cell) for name, parse, cell in zip(CSV_COLUMNS, _CSV_TYPES, record)})
+        except ValueError as exc:
+            raise ValueError(f"line {reader.line_num}: {exc}") from None
     return rows

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from trendsax.core import (MAX_ALPHABET, AlphabetTable, SaxWord, _paa_matrix, _symbol_matrix,
-                           make_alphabet_table)
+from trendsax.core import (MAX_ALPHABET, AlphabetTable, SaxWord, _block_means, _symbol_matrix,
+                           _znormalized, make_alphabet_table)
 from trendsax.distance import _check_compatible, _dist_sq_matrix
 from trendsax.segmentation import _check_scheme, segment
 
@@ -75,6 +76,11 @@ class LabeledDataset:
     def n(self) -> int:
         """Series length."""
         return self.series.shape[1]
+
+    @cached_property
+    def _zrows(self) -> np.ndarray:
+        """The z-normalized rows, computed once on first use and shared by every scheme."""
+        return _znormalized(self.series)
 
 
 class _TrainingWords(Sequence):
@@ -244,7 +250,7 @@ def _tune(train: LabeledDataset, scheme: str, m: int,
         raise ValueError("tuning needs at least 2 training instances")
     alphas = _normalized_alphabet_range(alphabet_range)
     seg = segment(scheme, train.n, m)
-    means = _paa_matrix(train.series, seg)
+    means = _block_means(train._zrows, seg)
     best_alpha = None
     best_error = None
     best_rows = None
@@ -277,7 +283,7 @@ def evaluate(train: LabeledDataset, test: LabeledDataset, scheme: str, m: int,
         raise ValueError(f"train and test series lengths differ: {train.n} vs {test.n}")
     model, train_error = _tune(train, scheme, m, alphabet_range)
     seg = segment(scheme, test.n, m)
-    test_rows = _symbol_matrix(_paa_matrix(test.series, seg), model.table)
+    test_rows = _symbol_matrix(_block_means(test._zrows, seg), model.table)
     words = model.train_words
     predicted = words.labels[_nearest(test_rows, words.rows, model.table.pair_dist**2)]
     misclassified = int((predicted != test.labels).sum())

@@ -88,10 +88,10 @@ def _write_output(text: str, out: str | None) -> None:
 def _cmd_convert(args: argparse.Namespace) -> int:
     scheme = _single_scheme_from(args.scheme)
     config = BenchmarkConfig(schemes=(scheme,), word_count=args.word_count, ratio=args.ratio)
+    table = make_alphabet_table(args.alphabet)  # a bad alphabet fails before the file is read
     data = load_ucr(args.file)
     m = config.word_count_for(data.n)
     seg = segment(scheme, data.n, m)
-    table = make_alphabet_table(args.alphabet)
     rows = _symbol_matrix(_paa_matrix(data.series, seg), table)
     records = [
         (index, int(label), SaxWord(row, table.alphabet_size, seg.n_effective).to_letters())

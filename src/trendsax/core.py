@@ -34,6 +34,9 @@ MAX_ALPHABET = 26  # symbols render as letters a..z
 # below this population standard deviation a series is treated as constant
 _DEGENERATE_STD = 1e-12
 
+# values gathered at once by ``_block_means``
+_CHUNK_VALUES = 2**16
+
 
 def _as_series(values, name: str = "series") -> np.ndarray:
     x = np.asarray(values, dtype=np.float64)
@@ -67,17 +70,37 @@ def _znormalize_rows(x: np.ndarray) -> np.ndarray:
     return np.divide(x - mu, sd, out=np.zeros_like(x), where=sd >= _DEGENERATE_STD)
 
 
-def _paa_matrix(series: np.ndarray, seg: Segmentation) -> np.ndarray:
-    """Per-row z-normalization followed by block averaging; (N, m) means.
-
-    Equal bit for bit to ``paa(znormalize(row), seg).means`` per row: the
-    block means are gathered row by row, because one (N, m, w) gather
-    sums its blocks in another order once ``w >= 8``.
-    """
+def _znormalized(series: np.ndarray) -> np.ndarray:
+    """Read-only :func:`_znormalize_rows` of (N, n) rows that fails if a mean or std overflowed."""
     z = _znormalize_rows(series)
-    if not np.isfinite(z).all():  # the mean or std overflowed
+    if not np.isfinite(z).all():
         raise ValueError("series contains non-finite values")
-    return np.stack([row[seg.blocks].mean(axis=1) for row in z])
+    z.flags.writeable = False
+    return z
+
+
+def _block_means(z: np.ndarray, seg: Segmentation) -> np.ndarray:
+    """(N, m) block means of ``seg`` over every row of ``z``, the one definition behind :func:`paa`.
+
+    Each block adds its points left to right in index order, then divides
+    by w, whatever the number of rows.  Rows are gathered in chunks of about
+    ``_CHUNK_VALUES`` values as (rows, w, m) and summed over the middle
+    axis, which numpy adds one (rows, m) slice at a time.  With m == 1
+    numpy would drop the last axis and sum the middle one pairwise, so it
+    is accumulated instead.
+    """
+    out = np.empty((z.shape[0], seg.m))
+    step = max(1, _CHUNK_VALUES // seg.n_effective)
+    for i0 in range(0, z.shape[0], step):
+        g = np.take(z[i0:i0 + step], seg.blocks.T, axis=1)
+        total = g.sum(axis=1) if seg.m > 1 else g.cumsum(axis=1)[:, -1]
+        np.divide(total, seg.w, out=out[i0:i0 + step])
+    return out
+
+
+def _paa_matrix(series: np.ndarray, seg: Segmentation) -> np.ndarray:
+    """Per-row z-normalization followed by :func:`_block_means`; (N, m) means."""
+    return _block_means(_znormalized(series), seg)
 
 
 def _symbol_matrix(means: np.ndarray, table: AlphabetTable) -> np.ndarray:
@@ -273,8 +296,7 @@ def paa(values, seg: Segmentation) -> PaaVector:
         raise ValueError(
             f"segmentation covers {seg.n_effective} indices but series has only {x.size}"
         )
-    means = x[seg.blocks].mean(axis=1)
-    return PaaVector(means, seg.n_effective)
+    return PaaVector(_block_means(x[None], seg)[0], seg.n_effective)
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from trendsax.core import AlphabetTable, SaxWord, make_alphabet_table, paa, symbolize
+from trendsax.core import (AlphabetTable, SaxWord, _as_series, _block_means, _symbol_matrix,
+                           make_alphabet_table)
 from trendsax.segmentation import segment
 
 __all__ = ["LOWER_BOUND_TOLERANCE", "LowerBoundReport", "euclidean", "mindist", "verify_lower_bound"]
@@ -68,6 +69,12 @@ def _check_compatible(s: SaxWord, t: SaxWord, table: AlphabetTable) -> None:
         raise ValueError(f"source lengths differ: {s.source_length} vs {t.source_length}")
 
 
+def _word_distance(a: np.ndarray, b: np.ndarray, table: AlphabetTable, source_length: int) -> float:
+    """sqrt(n/m) * sqrt(squared distance) between two symbol rows of length m."""
+    d2 = _dist_sq_matrix(a[None], b[None], table.pair_dist**2)[0, 0]
+    return math.sqrt(source_length / a.size) * math.sqrt(d2)
+
+
 def mindist(s: SaxWord, t: SaxWord, table: AlphabetTable) -> float:
     """Lower-bounding distance between two words over the same alphabet.
 
@@ -75,8 +82,7 @@ def mindist(s: SaxWord, t: SaxWord, table: AlphabetTable) -> float:
     equal or adjacent.
     """
     _check_compatible(s, t, table)
-    d2 = _dist_sq_matrix(s.symbols[None], t.symbols[None], table.pair_dist**2)[0, 0]
-    return math.sqrt(s.source_length / s.m) * math.sqrt(d2)
+    return _word_distance(s.symbols, t.symbols, table, s.source_length)
 
 
 @dataclass(frozen=True)
@@ -105,9 +111,9 @@ def verify_lower_bound(
     ed = euclidean(s, t)  # checks the pair first
     seg = segment(scheme, len(s), m)
     table = make_alphabet_table(alphabet_size)
-    word_s = symbolize(paa(s, seg), table)
-    word_t = symbolize(paa(t, seg), table)
-    md = mindist(word_s, word_t, table)
+    # the pair as two rows: the same block means, symbols and distance as words of s and t
+    rows = _symbol_matrix(_block_means(np.stack([_as_series(s), _as_series(t)]), seg), table)
+    md = _word_distance(rows[0], rows[1], table, seg.n_effective)
     return LowerBoundReport(
         mindist=md,
         euclidean=ed,

@@ -296,7 +296,8 @@ class TestEmitReport:
         ("Toy,split,3,4,0.0,0.2,2,10,true,7", "line 3: expected 9 fields, got 10"),
         ("Toy,split,3,4,0.0,0.2,2,10,True", "line 3: is_row_min must be true or false, got 'True'"),
         ("Toy,split,3,4,0.0,0.2,2,10,", "line 3: is_row_min must be true or false, got ''"),
-    ], ids=["missing-field", "extra-field", "capitalized-flag", "empty-flag"])
+        ("Toy,split,x,4,0.0,0.2,2,10,true", "line 3: invalid literal for int() with base 10: 'x'"),
+    ], ids=["missing-field", "extra-field", "capitalized-flag", "empty-flag", "non-numeric-cell"])
     def test_read_rejects_malformed_row_naming_its_line(self, row, message):
         text = ",".join(CSV_COLUMNS) + "\nToy,classic,3,4,0.0,0.2,2,10,true\n" + row + "\n"
         with pytest.raises(ValueError, match=re.escape(message)):

@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from trendsax import core
 from trendsax.classify import (
     EvaluationReport,
     LabeledDataset,
@@ -302,6 +303,35 @@ class TestLabeledDataset:
         data = LabeledDataset(np.array([[1.0, 2.0]]), np.array([1]))
         with pytest.raises(ValueError):
             data.series[0, 0] = 9.0
+
+    def test_each_split_is_normalized_once_for_all_schemes(self, monkeypatch):
+        calls = []
+        normalize = core._znormalize_rows
+
+        def counted(x):
+            calls.append(x.shape)
+            return normalize(x)
+
+        monkeypatch.setattr(core, "_znormalize_rows", counted)
+        rng = np.random.default_rng(31)
+        train, test = random_dataset(rng, 12, 32), random_dataset(rng, 9, 32)
+        for scheme in SCHEMES:
+            evaluate(train, test, scheme, 8, range(3, 6))
+        assert calls == [(12, 32), (9, 32)]
+
+    def test_normalized_rows_are_read_only(self):
+        data = random_dataset(np.random.default_rng(32), 5, 16)
+        assert data._zrows is data._zrows
+        assert np.array_equal(data._zrows, [znormalize(row) for row in data.series])
+        with pytest.raises(ValueError):
+            data._zrows[0, 0] = 9.0
+
+    def test_overflowing_rows_construct_and_fail_on_first_use(self):
+        # finite values whose row sum overflows, so the mean and the std do
+        big = LabeledDataset(np.array([[1.0e308, 1.7e308, 1.2e308, 1.6e308]] * 2), np.array([1, 2]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="^series contains non-finite values$"):
+                evaluate(big, big, "classic", 2, [3])
 
 
 # ----------------------------------------------------------------- properties

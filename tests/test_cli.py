@@ -128,6 +128,12 @@ class TestConvert:
         assert code == 1
         assert err.startswith("error:")
 
+    def test_bad_alphabet_fails_before_the_file_is_read(self, tmp_path, capsys):
+        code, out, err = run_cli(["convert", str(tmp_path / "missing.txt"), "--alphabet", "30"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "error: alphabet size must be in [2, 26], got 30\n"
+
 
 class TestVerifyBound:
     def test_default_schemes_pass(self, capsys):

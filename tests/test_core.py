@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,18 +9,20 @@ from scipy.special import ndtri
 
 import oracles
 import strategies
+from trendsax import core
 from trendsax.core import (
     MAX_ALPHABET,
     AlphabetTable,
     PaaVector,
     SaxWord,
+    _block_means,
     gaussian_quantile,
     make_alphabet_table,
     paa,
     symbolize,
     znormalize,
 )
-from trendsax.segmentation import Segmentation, segment
+from trendsax.segmentation import SCHEMES, Segmentation, segment
 
 
 class TestZnormalize:
@@ -170,6 +173,42 @@ class TestPaa:
         assert vec.m == 2
         with pytest.raises(ValueError):
             vec.means[0] = 0.0
+
+
+class TestBlockMeans:
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_paa_adds_each_block_in_the_oracle_order(self, scheme):
+        # numpy sums a contiguous axis pairwise from 8 terms on, and drops
+        # the block axis when m == 1; every block must add left to right
+        rng = np.random.default_rng(11)
+        for m in (1, 2, 3, 7):
+            for w in range(1, 41):
+                seg = segment(scheme, m * w + int(rng.integers(0, m)), m)
+                z = znormalize(rng.standard_normal(seg.n_effective + 3).cumsum())
+                want = oracles.paa_means(z.tolist(), seg.blocks.tolist())
+                assert np.array_equal(paa(z, seg).means, want), (m, w)
+
+    @pytest.mark.parametrize("chunk_values", [1, 500, 2**16])
+    def test_rows_in_any_chunking_equal_the_oracle(self, monkeypatch, chunk_values):
+        monkeypatch.setattr(core, "_CHUNK_VALUES", chunk_values)
+        rng = np.random.default_rng(12)
+        for case, (m, w) in enumerate([(1, 9), (2, 8), (5, 13), (16, 4), (3, 33)]):
+            seg = segment(SCHEMES[case % len(SCHEMES)], m * w, m)
+            z = rng.standard_normal((13, m * w + 1))[:, 1:]  # a view, as load_ucr returns
+            want = [oracles.paa_means(row, seg.blocks.tolist()) for row in z.tolist()]
+            assert np.array_equal(_block_means(z, seg), want), (m, w)
+
+    def test_memory_stays_bounded(self):
+        z = np.random.default_rng(13).standard_normal((2000, 1024))
+        seg = segment("split", 1024, 256)
+        tracemalloc.start()
+        try:
+            _block_means(z, seg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the (2000, 256) result is 4.1 MB; one unchunked (2000, 4, 256) gather adds 16.4 MB
+        assert peak < 8e6
 
 
 class TestSymbolize:

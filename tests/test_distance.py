@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -231,6 +232,33 @@ class TestVerifyLowerBound:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             verify_lower_bound([1.0, 2.0], [1.0, 2.0, 3.0], "classic", 1, 3)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_equals_the_word_composition_exactly(self, scheme):
+        rng = np.random.default_rng(71)
+        table = make_alphabet_table(8)
+        for m, n in [(1, 40), (4, 64), (5, 83), (16, 256), (64, 256)]:
+            seg = segment(scheme, n, m)
+            for _ in range(20):
+                s = znormalize(rng.standard_normal(n).cumsum())
+                t = znormalize(rng.standard_normal(n).cumsum())
+                word_s, word_t = (symbolize(paa(x, seg), table) for x in (s, t))
+                want = (mindist(word_s, word_t, table), euclidean(s, t))
+                report = verify_lower_bound(s, t, scheme, m, 8)
+                assert (report.mindist, report.euclidean) == want, (m, n)
+                assert report.slack == want[1] - want[0]
+
+    @pytest.mark.parametrize("s, t, m, alpha, message", [
+        ([np.nan, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0], 2, 4, "series contains non-finite values"),
+        ([0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, np.inf], 2, 4, "series contains non-finite values"),
+        ([np.nan, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0], 5, 4, "m=5 exceeds series length 4"),
+        ([0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0], 2, 30, "alphabet size must be in [2, 26], got 30"),
+        ([0.0, 1.0], [1.0, 2.0, 3.0], 1, 4,
+         "series must be one-dimensional and equal length, got (2,) and (3,)"),
+    ], ids=["nan-left", "inf-right", "m-above-n-first", "alphabet", "length"])
+    def test_messages_and_their_order(self, s, t, m, alpha, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            verify_lower_bound(s, t, "split", m, alpha)
 
 
 # ----------------------------------------------------------------- properties
