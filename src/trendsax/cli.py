@@ -29,7 +29,7 @@ from trendsax.benchmark import (
     run_benchmark,
 )
 from trendsax.classify import DEFAULT_ALPHABET_RANGE
-from trendsax.core import SaxWord, _paa_matrix, _symbol_matrix, make_alphabet_table
+from trendsax.core import SaxWord, _block_means, _symbol_matrix, make_alphabet_table
 from trendsax.dataset import load_dataset_pair, load_ucr
 from trendsax.distance import verify_lower_bound
 from trendsax.segmentation import SCHEMES, segment
@@ -92,7 +92,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     data = load_ucr(args.file)
     m = config.word_count_for(data.n)
     seg = segment(scheme, data.n, m)
-    rows = _symbol_matrix(_paa_matrix(data.series, seg), table)
+    rows = _symbol_matrix(_block_means(data._zrows, seg), table)
     records = [
         (index, int(label), SaxWord(row, table.alphabet_size, seg.n_effective).to_letters())
         for index, (row, label) in enumerate(zip(rows, data.labels))

@@ -83,18 +83,20 @@ def _block_means(z: np.ndarray, seg: Segmentation) -> np.ndarray:
     """(N, m) block means of ``seg`` over every row of ``z``, the one definition behind :func:`paa`.
 
     Each block adds its points left to right in index order, then divides
-    by w, whatever the number of rows.  Rows are gathered in chunks of about
-    ``_CHUNK_VALUES`` values as (rows, w, m) and summed over the middle
-    axis, which numpy adds one (rows, m) slice at a time.  With m == 1
-    numpy would drop the last axis and sum the middle one pairwise, so it
-    is accumulated instead.
+    by w, whatever the number of rows or m.  Rows are gathered in chunks of
+    about ``_CHUNK_VALUES`` values as (rows, w, m) and the w (rows, m)
+    slices are added one after another: a numpy sum over the block axis
+    adds pairwise whenever that axis ends up innermost, as it does for m == 1.
     """
     out = np.empty((z.shape[0], seg.m))
     step = max(1, _CHUNK_VALUES // seg.n_effective)
     for i0 in range(0, z.shape[0], step):
         g = np.take(z[i0:i0 + step], seg.blocks.T, axis=1)
-        total = g.sum(axis=1) if seg.m > 1 else g.cumsum(axis=1)[:, -1]
-        np.divide(total, seg.w, out=out[i0:i0 + step])
+        total = out[i0:i0 + step]
+        np.copyto(total, g[:, 0])
+        for k in range(1, seg.w):
+            total += g[:, k]
+        total /= seg.w
     return out
 
 
