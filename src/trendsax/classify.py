@@ -17,7 +17,7 @@ import numpy as np
 
 from trendsax.core import (MAX_ALPHABET, AlphabetTable, SaxWord, _block_means, _symbol_matrix,
                            _znormalized, make_alphabet_table)
-from trendsax.distance import _check_compatible, _dist_sq_matrix
+from trendsax.distance import _check_compatible, _dist_sq
 from trendsax.segmentation import _check_scheme, segment
 
 __all__ = [
@@ -34,8 +34,8 @@ __all__ = [
 # alphabet sizes swept when tuning unless the caller narrows the range
 DEFAULT_ALPHABET_RANGE = range(3, 21)
 
-# distances held at once by 1NN scoring; see ``_nearest``
-_CHUNK_BUDGET = 2**16
+# values held at once per row chunk of 1NN scoring; see ``_nearest``
+_CHUNK_BUDGET = 2**18
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,41 +181,66 @@ def nn1(query: SaxWord, train_words: Sequence[tuple[SaxWord, int]], table: Alpha
     if not isinstance(train_words, _TrainingWords):
         train_words = _stack_words(train_words, table)
     _check_compatible(query, train_words, table)
-    d2 = _dist_sq_matrix(query.symbols[None, :], train_words.rows, table.pair_dist**2)[0]
+    d2 = _dist_sq(query.symbols, train_words.rows, table.pair_dist**2)
     return int(train_words.labels[int(np.argmin(d2))])
 
 
-def _fold(best: np.ndarray, arg: np.ndarray, d2: np.ndarray, offset: int) -> None:
-    """Fold a block whose columns start at ``offset`` into the running minima."""
-    j = np.argmin(d2, axis=1)
-    d = d2[np.arange(j.size), j]
-    better = d < best  # strict, so an earlier column keeps a tie
-    best[better], arg[better] = d[better], j[better] + offset
+def _gamma(n: int, unit: float) -> float:
+    """Higham's gamma_n = n·u / (1 − n·u): the relative error of n roundings."""
+    return n * unit / (1 - n * unit)
 
 
 def _nearest(a: np.ndarray, b: np.ndarray, sq_pair: np.ndarray, leave_one_out: bool = False) -> np.ndarray:
-    """Index of each ``a`` row's nearest ``b`` row, ties to the first index.
+    """Index of each ``a`` row's nearest ``b`` row by ``_dist_sq``, ties to the first index.
 
-    ``a`` is scored in row chunks, holding about ``_CHUNK_BUDGET`` distances
-    at once instead of A x B; this is exact, as ``_dist_sq_matrix`` sums an
-    element in one order whatever rows it is given.  ``leave_one_out``
-    scores ``a`` (``b is a``) without the diagonal from upper-triangle
-    strips only, chunk I against columns I0..N: the table is symmetric, so
-    ``d2[j, i] == d2[i, j]`` bit for bit, and a strip is folded into its
-    own rows and, transposed, into rows I1..N.  Every row meets its columns
-    in increasing order, so this equals one ``argmin`` of the full matrix.
+    Filter and refine (GEMINI, Faloutsos et al., SIGMOD 1994).  The filter
+    scores a row chunk against every ``b`` row in one float32 matrix
+    product ``P = E @ H.T``: ``E[i, k·α + t] = sq_pair[a_ik, t]`` and ``H``
+    is the one-hot of ``b``, so ``P[i, j]`` is the sum of the same m
+    entries as ``_dist_sq``.  Every term is non-negative, so (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., §3.1) ``P``
+    lies within gamma_{K+1} (float32 unit, K = m·α: one rounding of each
+    entry to float32 and K additions, in any order) of the real sum, and
+    the exact float64 left-to-right sum within gamma_m (float64 unit).  A
+    column can then hold a row's exact minimum only if its ``P`` is at most
+    ``P_min·(1+γ_m)(1+γ_{K+1})/((1−γ_m)(1−γ_{K+1}))``, rounded up; a row
+    whose ``P_min`` is 0 keeps its exact zeros only.  The bound needs a
+    classical summation: OpenBLAS sgemm adds the products of each element
+    in some order, with no Strassen-like scheme.  The refine step rescores
+    only the kept pairs with ``_dist_sq``, so the product never decides an
+    answer.  ``leave_one_out`` scores ``a`` against itself (``b is a``)
+    without the diagonal.  A row chunk holds about ``_CHUNK_BUDGET`` values
+    of ``E`` and of ``P``, and the refine step gathers its pairs in smaller
+    chunks, so memory stays bounded however many rows either side has.
     """
-    best = np.full(a.shape[0], np.inf)
-    arg = np.zeros(a.shape[0], dtype=np.int64)
-    step = max(1, _CHUNK_BUDGET // b.shape[0])
+    alpha, (n_b, m) = sq_pair.shape[0], b.shape
+    width = m * alpha
+    g64, g32 = _gamma(m, 2.0**-53), _gamma(width + 1, 2.0**-24)
+    ratio = np.float64((1 + g64) * (1 + g32) / ((1 - g64) * (1 - g32)))
+    sq32 = sq_pair.astype(np.float32)
+    h = np.zeros((n_b, width), dtype=np.float32)
+    h[np.arange(n_b)[:, None], np.arange(0, width, alpha) + b] = 1
+    arg = np.empty(a.shape[0], dtype=np.int64)
+    step = max(1, _CHUNK_BUDGET // max(width, n_b))
+    # the refine step holds several int64 and float64 arrays of pairs x m values
+    pairs = max(1, _CHUNK_BUDGET // (8 * m))
     for i0 in range(0, a.shape[0], step):
         i1 = min(i0 + step, a.shape[0])
-        c0 = i0 if leave_one_out else 0
-        strip = _dist_sq_matrix(a[i0:i1], b[c0:], sq_pair)
+        p = sq32[a[i0:i1]].reshape(i1 - i0, width) @ h.T
         if leave_one_out:
-            np.fill_diagonal(strip, np.inf)
-            _fold(best[i1:], arg[i1:], strip[:, i1 - i0:].T, i0)
-        _fold(best[i0:i1], arg[i0:i1], strip, c0)
+            p[np.arange(i1 - i0), np.arange(i0, i1)] = np.inf
+        # rounding the float64 product to float32 and then one step up lands above the real limit
+        limit = (p.min(axis=1, keepdims=True) * ratio).astype(np.float32)
+        np.nextafter(limit, np.float32(np.inf), out=limit, where=limit > 0)
+        rows, cols = np.nonzero(p <= limit)
+        d2 = np.empty(rows.size)
+        for k0 in range(0, rows.size, pairs):
+            k = slice(k0, k0 + pairs)
+            d2[k] = _dist_sq(a[i0 + rows[k]], b[cols[k]], sq_pair)
+        # kept pairs come row by row, columns ascending, and every row keeps its P_min column
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        hits = np.flatnonzero(d2 == np.minimum.reduceat(d2, starts)[rows])
+        arg[i0:i1] = cols[hits[np.diff(rows[hits], prepend=-1) > 0]]
     return arg
 
 

@@ -100,11 +100,6 @@ def _block_means(z: np.ndarray, seg: Segmentation) -> np.ndarray:
     return out
 
 
-def _paa_matrix(series: np.ndarray, seg: Segmentation) -> np.ndarray:
-    """Per-row z-normalization followed by :func:`_block_means`; (N, m) means."""
-    return _block_means(_znormalized(series), seg)
-
-
 def _symbol_matrix(means: np.ndarray, table: AlphabetTable) -> np.ndarray:
     """:func:`symbolize` of every row of ``means`` at once; int64 symbols, same shape."""
     return np.searchsorted(table.breakpoints, means, side="left").astype(np.int64)

@@ -35,26 +35,16 @@ def euclidean(s, t) -> float:
     return float(np.sqrt((d * d).sum()))
 
 
-def _dist_sq_matrix(a: np.ndarray, b: np.ndarray, sq_pair: np.ndarray) -> np.ndarray:
-    """Squared word distances (without the n/m factor) between symbol rows.
+def _dist_sq(a: np.ndarray, b: np.ndarray, sq_pair: np.ndarray) -> np.ndarray:
+    """Squared word distances (without the n/m factor) between broadcastable symbol rows.
 
-    ``a`` is (A, m) and ``b`` is (B, m); returns (A, B).  Each element adds
-    its m squared table entries left to right from the first position, so
-    a distance is the same whatever rows it is computed with.
-
-    Many rows: per position k, gather the alpha x B column block
-    ``sq_pair[:, b[:, k]]``, take its rows ``a[:, k]`` and add it into the
-    total, one position at a time.  One row (``nn1``, ``mindist``): the
-    last column of ``cumsum`` over the B x m entries gathered by one flat
-    index, which also adds sequentially from the first term (``sum`` would
-    add pairwise and change the last bits).
+    The one definition of a word distance: the m squared table entries of
+    each pair, gathered by one flat index, added left to right from the
+    first position by ``cumsum`` along the last axis (``sum`` would add
+    pairwise and change the last bits).  ``a`` (..., m) and ``b`` (..., m)
+    give the broadcast shape without the last axis.
     """
-    if a.shape[0] == 1:
-        return np.cumsum(sq_pair.ravel()[a[0] * sq_pair.shape[0] + b], axis=1)[None, :, -1]
-    out = np.zeros((a.shape[0], b.shape[0]), dtype=np.float64)
-    for k in range(a.shape[1]):
-        out += sq_pair[:, b[:, k]][a[:, k]]
-    return out
+    return np.cumsum(sq_pair.ravel()[a * sq_pair.shape[0] + b], axis=-1)[..., -1]
 
 
 def _check_compatible(s: SaxWord, t: SaxWord, table: AlphabetTable) -> None:
@@ -71,7 +61,7 @@ def _check_compatible(s: SaxWord, t: SaxWord, table: AlphabetTable) -> None:
 
 def _word_distance(a: np.ndarray, b: np.ndarray, table: AlphabetTable, source_length: int) -> float:
     """sqrt(n/m) * sqrt(squared distance) between two symbol rows of length m."""
-    d2 = _dist_sq_matrix(a[None], b[None], table.pair_dist**2)[0, 0]
+    d2 = _dist_sq(a, b, table.pair_dist**2)
     return math.sqrt(source_length / a.size) * math.sqrt(d2)
 
 

@@ -1,7 +1,10 @@
 import json
 import os
 import re
+import subprocess
+import sys
 from concurrent.futures import Future
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +31,24 @@ class WorkerKiller(DatasetPair):
 
     def __reduce__(self):
         return os._exit, (1,)
+
+
+# tunes a 300-row split in process, so OpenBLAS threads have run float32
+# products, then forks --jobs 2 workers; prints the jobs=1 and jobs=2 reports
+FORK_AFTER_BLAS = """
+import sys
+import numpy as np
+from trendsax.benchmark import BenchmarkConfig, emit_report, run_benchmark
+from trendsax.classify import LabeledDataset, evaluate
+from trendsax.dataset import load_dataset_pair
+
+rng = np.random.default_rng(5)
+data = LabeledDataset(rng.standard_normal((300, 256)).cumsum(axis=1), rng.integers(1, 4, size=300))
+evaluate(data, data, "classic", 64)
+pairs = [load_dataset_pair(path) for path in sys.argv[1:]]
+for jobs in (1, 2):
+    sys.stdout.write(emit_report(run_benchmark(pairs, BenchmarkConfig(jobs=jobs)), "csv") + "\\0")
+"""
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +143,20 @@ class TestRunBenchmark:
         parallel = run_benchmark(suite_pairs, BenchmarkConfig(jobs=4))
         assert emit_report(parallel, "csv") == emit_report(suite_matrix, "csv")
         assert parallel.win_counts == suite_matrix.win_counts
+
+    def test_workers_forked_after_blas_threads_give_the_same_report(self, suite_dir):
+        # a worker that deadlocks on a lock held by a BLAS thread at fork
+        # would hang the run, so it gets a deadline
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-c", FORK_AFTER_BLAS, *(str(suite_dir / name) for name in ("Steps", "Ramps", "Bumps"))],
+            capture_output=True, text=True, timeout=300, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr[-4000:]
+        serial, parallel, _ = proc.stdout.split("\0")
+        assert serial.count("\n") == 13  # a header and 3 datasets x 4 schemes
+        assert parallel == serial
 
     def test_killed_worker_costs_its_rows(self, suite_pairs, suite_matrix):
         steps, ramps, bumps = suite_pairs

@@ -16,6 +16,7 @@ from trendsax.core import (
     PaaVector,
     SaxWord,
     _block_means,
+    _znormalized,
     gaussian_quantile,
     make_alphabet_table,
     paa,
@@ -197,6 +198,27 @@ class TestBlockMeans:
             z = rng.standard_normal((13, m * w + 1))[:, 1:]  # a view, as load_ucr returns
             want = [oracles.paa_means(row, seg.blocks.tolist()) for row in z.tolist()]
             assert np.array_equal(_block_means(z, seg), want), (m, w)
+
+    def test_whole_splits_equal_the_oracle(self):
+        # the split path: z-normalize every row at once, then block means;
+        # blocks of w >= 8 points are where a numpy reduction would sum in
+        # another order, and constant rows take the zero branch
+        rng = np.random.default_rng(6)
+        long_blocks = 0
+        for case in range(120):
+            m = int(rng.integers(1, 17))
+            w = int(rng.integers(1, 33))
+            n = m * w + int(rng.integers(0, m))
+            rows = int(rng.integers(1, 9))
+            series = rng.standard_normal((rows, n + 1)).cumsum(axis=1) * 10.0 ** rng.integers(-3, 4)
+            series[rng.random(rows) < 0.25] = rng.standard_normal()
+            # a view past a first column, the layout load_ucr returns
+            series = series[:, 1:]
+            seg = segment(SCHEMES[case % len(SCHEMES)], n, m)
+            long_blocks += seg.w >= 8
+            want = [oracles.paa_means(oracles.znormalize(row), seg.blocks.tolist()) for row in series.tolist()]
+            assert np.array_equal(_block_means(_znormalized(series), seg), want), (seg.scheme, rows, n, m)
+        assert long_blocks >= 40
 
     def test_memory_stays_bounded(self):
         z = np.random.default_rng(13).standard_normal((2000, 1024))

@@ -15,7 +15,7 @@ from trendsax.classify import TunedModel, _loocv_from_rows, _nearest, nn1
 from trendsax.core import PaaVector, SaxWord, make_alphabet_table, paa, symbolize, znormalize
 from trendsax.distance import (
     LOWER_BOUND_TOLERANCE,
-    _dist_sq_matrix,
+    _dist_sq,
     euclidean,
     mindist,
     verify_lower_bound,
@@ -90,7 +90,7 @@ class TestMindist:
             table = make_alphabet_table(alpha)
             a = rng.integers(0, alpha, size=m)
             b = rng.integers(0, alpha, size=m)
-            d2 = _dist_sq_matrix(a[None, :], b[None, :], table.pair_dist**2)[0, 0]
+            d2 = _dist_sq(a, b, table.pair_dist**2)
             expected = math.sqrt(n / m) * math.sqrt(d2)
             assert mindist(word_of(a, alpha, n), word_of(b, alpha, n), table) == expected
 
@@ -137,17 +137,17 @@ class TestKernelAtScale:
     def test_matrix_and_one_row_calls_equal_the_oracle(self, alpha):
         a, b, _, table, ref_table = kernel_case(alpha)
         sq = table.pair_dist**2
-        d2 = _dist_sq_matrix(a, b, sq)
+        d2 = _dist_sq(a[:, None], b[None], sq)
         want = [[oracles.dist_sq(x, y, ref_table) for y in b.tolist()] for x in a.tolist()]
         assert d2.tolist() == want
         for i in range(a.shape[0]):
-            assert np.array_equal(_dist_sq_matrix(a[i:i + 1], b, sq)[0], d2[i])
+            assert np.array_equal(_dist_sq(a[i], b, sq), d2[i])
             for width in (1, 2):  # the one-row calls of mindist and of a tiny nn1
-                assert _dist_sq_matrix(a[i:i + 1], b[:width], sq)[0].tolist() == want[i][:width]
+                assert _dist_sq(a[i], b[:width], sq).tolist() == want[i][:width]
 
     def test_first_index_tie_break_matches_the_oracle(self):
         a, b, labels, table, ref_table = kernel_case(3)
-        d2 = _dist_sq_matrix(a, a, table.pair_dist**2)
+        d2 = _dist_sq(a[:, None], a[None], table.pair_dist**2)
         np.fill_diagonal(d2, np.inf)
         tied = (d2 == d2.min(axis=1, keepdims=True)).sum(axis=1) > 1
         assert tied.mean() > 0.2  # the tie-break decides many rows
@@ -160,7 +160,7 @@ class TestKernelAtScale:
 
     def test_nn1_on_the_model_view_and_a_list_equal_the_oracle(self):
         a, b, labels, table, ref_table = kernel_case(3)
-        d2 = _dist_sq_matrix(b, a, table.pair_dist**2)
+        d2 = _dist_sq(b[:, None], a[None], table.pair_dist**2)
         tied = (d2 == d2.min(axis=1, keepdims=True)).sum(axis=1) > 1
         assert tied.mean() > 0.3  # the first-index rule decides many queries
         model = TunedModel("classic", 64, 3, [(word_of(r, 3, 256), int(l)) for r, l in zip(a, labels)], table)
@@ -176,21 +176,21 @@ class TestKernelAtScale:
         a, b, labels, table, _ = kernel_case(alpha)  # 150 rows: not a multiple of 7
         sq = table.pair_dist**2
         monkeypatch.setattr(classify, "_CHUNK_BUDGET", chunk_rows * a.shape[0])
-        d2 = _dist_sq_matrix(a, a, sq)
+        d2 = _dist_sq(a[:, None], a[None], sq)
         np.fill_diagonal(d2, np.inf)
         assert np.array_equal(_nearest(a, a, sq, leave_one_out=True), np.argmin(d2, axis=1))
         test_nearest = _nearest(b, a, sq)
-        assert np.array_equal(test_nearest, np.argmin(_dist_sq_matrix(b, a, sq), axis=1))
+        assert np.array_equal(test_nearest, np.argmin(_dist_sq(b[:, None], a[None], sq), axis=1))
         error, nn1_labels = oracle_answers(alpha)
         assert _loocv_from_rows(a, labels, table) == error
         assert labels[test_nearest].tolist() == nn1_labels
 
     def test_distance_matrix_is_exactly_symmetric(self):
-        # the premise that lets leave-one-out compute only the upper strips
+        # a distance does not depend on which side of the pair a word is on
         rng = np.random.default_rng(62)
         for alpha in range(2, 27):
             rows = rng.integers(0, alpha, size=(90, 48))
-            d2 = _dist_sq_matrix(rows, rows, make_alphabet_table(alpha).pair_dist**2)
+            d2 = _dist_sq(rows[:, None], rows[None], make_alphabet_table(alpha).pair_dist**2)
             assert np.array_equal(d2, d2.T), alpha
 
     def test_memory_stays_bounded(self):
@@ -202,6 +202,82 @@ class TestKernelAtScale:
         assert tracemalloc_peak(_loocv_from_rows, rows, labels, table) < 8e6
         # unchunked test scoring would hold two 2000 x 1000 arrays, 32 MB
         assert tracemalloc_peak(_nearest, rows, rows[:1000], table.pair_dist**2) < 8e6
+
+
+def oracle_nearest(queries, rows, ref_table, leave_one_out=False):
+    """First index of each query's smallest ``oracles.dist_sq`` over ``rows``."""
+    rows = rows.tolist()
+    return [min((oracles.dist_sq(q, r, ref_table), j) for j, r in enumerate(rows)
+                if not (leave_one_out and i == j))[1] for i, q in enumerate(queries.tolist())]
+
+
+def exact_nearest(queries, rows, sq, leave_one_out=False):
+    """First index of each query's smallest distance in the full broadcast matrix."""
+    d2 = _dist_sq(queries[:, None], rows[None], sq)
+    if leave_one_out:
+        np.fill_diagonal(d2, np.inf)
+    return np.argmin(d2, axis=1)
+
+
+class TestPrefilter:
+    # the float32 product only picks candidates; the exact sum must decide every answer
+
+    @pytest.mark.parametrize("alpha, m", [(3, 16), (3, 409), (10, 1), (26, 64), (26, 409)])
+    def test_equals_the_exact_argmin_and_the_oracle(self, alpha, m):
+        rng = np.random.default_rng(alpha * 1000 + m)
+        a = rng.integers(0, alpha, size=(40, m))
+        b = rng.integers(0, alpha, size=(25, m))
+        table = make_alphabet_table(alpha)
+        sq, ref_table = table.pair_dist**2, oracles.pair_table(list(table.breakpoints))
+        loo = _nearest(a, a, sq, leave_one_out=True)
+        assert np.array_equal(loo, exact_nearest(a, a, sq, leave_one_out=True))
+        assert loo.tolist() == oracle_nearest(a, a, ref_table, leave_one_out=True)
+        nearest = _nearest(b, a, sq)
+        assert np.array_equal(nearest, exact_nearest(b, a, sq))
+        assert nearest.tolist() == oracle_nearest(b, a, ref_table)
+
+    @pytest.mark.parametrize("m", [16, 128, 409])
+    def test_mass_ties_go_to_the_first_index(self, m):
+        # at alpha = 3 a distance counts the (0, 2) pairs, so many columns tie
+        # exactly, and the product of a tied column may round either way
+        rng = np.random.default_rng(m)
+        edge = m**-0.5  # about two (0, 2) pairs per distance
+        a = rng.choice(3, size=(120, m), p=[edge, 1 - 2 * edge, edge])
+        sq = make_alphabet_table(3).pair_dist**2
+        d2 = _dist_sq(a[:, None], a[None], sq)
+        np.fill_diagonal(d2, np.inf)
+        assert ((d2 == d2.min(axis=1, keepdims=True)).sum(axis=1) > 1).mean() > 0.5
+        assert np.array_equal(_nearest(a, a, sq, leave_one_out=True), np.argmin(d2, axis=1))
+        assert np.array_equal(_nearest(a[:30], a[30:], sq), exact_nearest(a[:30], a[30:], sq))
+
+    def test_leave_one_out_never_picks_the_row_itself(self):
+        # duplicate rows sit at distance 0 from each other and from themselves
+        rng = np.random.default_rng(81)
+        a = rng.integers(0, 26, size=(30, 64))[rng.integers(0, 10, size=30)]
+        sq = make_alphabet_table(26).pair_dist**2
+        loo = _nearest(a, a, sq, leave_one_out=True)
+        assert (loo != np.arange(30)).all()
+        assert np.array_equal(loo, exact_nearest(a, a, sq, leave_one_out=True))
+
+    @pytest.mark.parametrize("alpha, m", [(6, 200), (26, 409)])
+    def test_permuted_near_ties_follow_the_exact_sum(self, alpha, m):
+        # every query relabels the symbols of one pattern, and every training row
+        # permutes one base row among the positions where the pattern repeats a
+        # symbol: a query meets the same terms in every row, equal real sums added
+        # in other orders, so the exact sums differ only in their last bits and
+        # the products by a few float32 steps
+        rng = np.random.default_rng(alpha + m)
+        sq = make_alphabet_table(alpha).pair_dist**2
+        pattern = rng.integers(0, alpha, size=m)
+        queries = np.stack([rng.permutation(alpha)[pattern] for _ in range(16)])
+        base = rng.integers(0, alpha, size=m)
+        rows = np.tile(base, (200, 1))
+        for symbol in range(alpha):
+            at = np.flatnonzero(pattern == symbol)
+            rows[:, at] = base[at][rng.permuted(np.tile(np.arange(at.size), (200, 1)), axis=1)]
+        d2 = _dist_sq(queries[:, None], rows[None], sq)
+        assert all(np.unique(d).size > 1 for d in d2)
+        assert np.array_equal(_nearest(queries, rows, sq), np.argmin(d2, axis=1))
 
 
 class TestVerifyLowerBound:
