@@ -33,20 +33,21 @@ __all__ = [
     "run_benchmark",
 ]
 
-CSV_COLUMNS = (
-    "dataset",
-    "scheme",
-    "alpha_chosen",
-    "m",
-    "train_error",
-    "test_error",
-    "misclassified",
-    "total",
-    "is_row_min",
+# the fields every rendering gives a report: column name, EvaluationReport
+# attribute, and how read_report_csv parses the column
+_REPORT_FIELDS = (
+    ("alpha_chosen", "alpha", int),
+    ("m", "m", int),
+    ("train_error", "train_error", float),
+    ("test_error", "test_error", float),
+    ("misclassified", "misclassified", int),
+    ("total", "total", int),
 )
 
+CSV_COLUMNS = ("dataset", "scheme", *(column for column, _, _ in _REPORT_FIELDS), "is_row_min")
+
 # how read_report_csv parses each column of CSV_COLUMNS
-_CSV_TYPES = (str, str, int, int, float, float, int, int, "true".__eq__)
+_CSV_TYPES = (str, str, *(parse for _, _, parse in _REPORT_FIELDS), "true".__eq__)
 
 REPORT_FORMATS = ("csv", "json", "text")
 
@@ -152,12 +153,19 @@ def _worker_row(future: Future, source: DatasetPair | Path, config: BenchmarkCon
                 return _failed_row(source, exc)
 
 
+def _row_winners(row: BenchmarkRow) -> list[tuple[str, EvaluationReport, bool]]:
+    """Each report of ``row`` in ``SCHEMES`` order, with whether it attains the row minimum."""
+    best = BenchmarkMatrix.row_min(row)
+    # SCHEMES.index raises ValueError for a scheme the library does not define
+    ordered = sorted(row.reports.items(), key=lambda item: SCHEMES.index(item[0]))
+    return [(scheme, report, report.test_error == best) for scheme, report in ordered]
+
+
 def _count_wins(rows: tuple[BenchmarkRow, ...], schemes: tuple[str, ...]) -> dict[str, int]:
     wins = {scheme: 0 for scheme in schemes}
     for row in rows:
-        best = BenchmarkMatrix.row_min(row)
-        for scheme, report in row.reports.items():
-            if report.test_error == best:
+        for scheme, _, is_row_min in _row_winners(row):
+            if is_row_min:
                 wins[scheme] += 1
     return wins
 
@@ -191,20 +199,8 @@ def run_benchmark(
 
 
 def report_fields(report: EvaluationReport) -> dict[str, object]:
-    """The ``alpha_chosen`` through ``total`` fields every rendering shares."""
-    return {
-        "alpha_chosen": report.alpha,
-        "m": report.m,
-        "train_error": report.train_error,
-        "test_error": report.test_error,
-        "misclassified": report.misclassified,
-        "total": report.total,
-    }
-
-
-def _ordered_reports(row: BenchmarkRow) -> list[tuple[str, EvaluationReport]]:
-    # SCHEMES.index raises ValueError for a scheme the library does not define
-    return sorted(row.reports.items(), key=lambda item: SCHEMES.index(item[0]))
+    """The report's fields that every rendering shares, by column name."""
+    return {column: getattr(report, attribute) for column, attribute, _ in _REPORT_FIELDS}
 
 
 def _csv_text(header: Iterable[object], rows: Iterable[Iterable[object]]) -> str:
@@ -219,17 +215,15 @@ def _csv_text(header: Iterable[object], rows: Iterable[Iterable[object]]) -> str
 def _emit_csv(matrix: BenchmarkMatrix) -> str:
     rows = []
     for row in matrix.rows:
-        best = matrix.row_min(row)
-        for scheme, report in _ordered_reports(row):
+        for scheme, report, is_row_min in _row_winners(row):
             rows.append([row.dataset, scheme, *report_fields(report).values(),
-                         "true" if report.test_error == best else "false"])
+                         "true" if is_row_min else "false"])
     return _csv_text(CSV_COLUMNS, rows)
 
 
 def _emit_json(matrix: BenchmarkMatrix) -> str:
     rows = []
     for row in matrix.rows:
-        best = matrix.row_min(row)
         if row.error is not None:
             rows.append({"dataset": row.dataset, "error": row.error})
             continue
@@ -237,8 +231,8 @@ def _emit_json(matrix: BenchmarkMatrix) -> str:
             {
                 "dataset": row.dataset,
                 "schemes": {
-                    scheme: {**report_fields(report), "is_row_min": report.test_error == best}
-                    for scheme, report in _ordered_reports(row)
+                    scheme: {**report_fields(report), "is_row_min": is_row_min}
+                    for scheme, report, is_row_min in _row_winners(row)
                 },
             }
         )
@@ -258,16 +252,11 @@ def _emit_text(matrix: BenchmarkMatrix) -> str:
         if row.error is not None:
             body.append([row.dataset, f"error: {row.error}"])
             continue
-        best = matrix.row_min(row)
-        cells = [row.dataset]
-        for scheme in schemes:
-            report = row.reports.get(scheme)
-            if report is None:
-                cells.append("-")
-                continue
-            mark = "*" if report.test_error == best else " "
-            cells.append(f"{report.test_error:.5g}{mark}")
-        body.append(cells)
+        cells = {}
+        for scheme, report, is_row_min in _row_winners(row):
+            mark = "*" if is_row_min else " "
+            cells[scheme] = f"{report.test_error:.5g}{mark}"
+        body.append([row.dataset] + [cells.get(scheme, "-") for scheme in schemes])
     footer = ["wins"] + [str(matrix.win_counts.get(s, 0)) for s in schemes]
     table = [header] + body + [footer]
     # a failed row's message is its last cell and sizes no column

@@ -112,8 +112,11 @@ class _TrainingWords(Sequence):
         return SaxWord(self.rows[i], self.alphabet_size, self.source_length), int(self.labels[i])
 
 
-def _stack_words(train_words: Iterable[tuple[SaxWord, int]], table: AlphabetTable) -> _TrainingWords:
-    """Stack outside ``(SaxWord, label)`` pairs, checking each word against the first and ``table``."""
+def _fitted_words(train_words: Iterable[tuple[SaxWord, int]], table: AlphabetTable) -> _TrainingWords:
+    """``train_words`` as rows that fit ``table``: stored rows checked once, outside pairs word by word."""
+    if isinstance(train_words, _TrainingWords):
+        _check_compatible(train_words, train_words, table)
+        return train_words
     pairs = list(train_words)
     if not pairs:
         raise ValueError("training set is empty")
@@ -132,10 +135,10 @@ class TunedModel:
     ``train_words`` is stored as the training symbol rows (read-only
     (N, m) int64) and their labels, and reads as a sequence of
     ``(SaxWord, label)`` pairs built on demand.  ``nn1`` scores those rows
-    as they are, with no stacking and no per-word check.  Any other
-    sequence of pairs given here is checked word by word against
-    ``table`` and stored as rows the same way.  ``m`` and ``alphabet_size``
-    must match the words and ``table``.
+    as they are, with no stacking and no per-word check.  Rows given here
+    are checked once against ``table``; any other sequence of pairs is
+    checked word by word and stored as rows the same way.  ``m`` and
+    ``alphabet_size`` must match the words and ``table``.
     """
 
     scheme: str
@@ -146,8 +149,7 @@ class TunedModel:
 
     def __post_init__(self) -> None:
         _check_scheme(self.scheme)
-        if not isinstance(self.train_words, _TrainingWords):
-            object.__setattr__(self, "train_words", _stack_words(self.train_words, self.table))
+        object.__setattr__(self, "train_words", _fitted_words(self.train_words, self.table))
         if self.m != self.train_words.m:
             raise ValueError(f"m={self.m} but the training words have m={self.train_words.m}")
         if self.alphabet_size != self.table.alphabet_size:
@@ -172,14 +174,13 @@ def nn1(query: SaxWord, train_words: Sequence[tuple[SaxWord, int]], table: Alpha
     """Label of the training word closest to ``query``.
 
     ``train_words`` is either a ``TunedModel.train_words``, whose rows are
-    scored as they are, or any other sequence of ``(SaxWord, label)``
-    pairs, which is checked word by word and stacked once.  The query is
-    then checked once against the rows and ``table``: word length,
-    alphabet size and source length.  Equal distances resolve to the
-    smallest training index.
+    checked once against ``table`` and scored as they are, or any other
+    sequence of ``(SaxWord, label)`` pairs, which is checked word by word
+    and stacked once.  The query is then checked once against the rows
+    and ``table``: word length, alphabet size and source length.  Equal
+    distances resolve to the smallest training index.
     """
-    if not isinstance(train_words, _TrainingWords):
-        train_words = _stack_words(train_words, table)
+    train_words = _fitted_words(train_words, table)
     _check_compatible(query, train_words, table)
     d2 = _dist_sq(query.symbols, train_words.rows, table.pair_dist**2)
     return int(train_words.labels[int(np.argmin(d2))])

@@ -30,7 +30,7 @@ from trendsax.benchmark import (
 )
 from trendsax.classify import DEFAULT_ALPHABET_RANGE
 from trendsax.core import SaxWord, _block_means, _symbol_matrix, make_alphabet_table
-from trendsax.dataset import load_dataset_pair, load_ucr
+from trendsax.dataset import _split_files, load_dataset_pair, load_ucr
 from trendsax.distance import verify_lower_bound
 from trendsax.segmentation import SCHEMES, segment
 
@@ -156,16 +156,16 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _discover_datasets(paths: list[str]) -> list[Path]:
-    """Each path that holds a *_TRAIN file, else its subdirectories that do."""
+    """Each path that holds a *_TRAIN series file, else its subdirectories that do."""
     datasets = []
     for raw in paths:
         root = Path(raw)
         if not root.is_dir():
             raise FileNotFoundError(f"dataset directory {root} does not exist")
-        if any(root.glob("*_TRAIN*")):
+        if _split_files(root, "TRAIN"):
             datasets.append(root)
             continue
-        children = sorted(p for p in root.iterdir() if p.is_dir() and any(p.glob("*_TRAIN*")))
+        children = sorted(p for p in root.iterdir() if p.is_dir() and _split_files(p, "TRAIN"))
         if not children:
             raise FileNotFoundError(f"{root}: no *_TRAIN file here or in any subdirectory")
         datasets.extend(children)

@@ -58,7 +58,8 @@ def znormalize(values) -> np.ndarray:
     -------
     Normalized copy.  A series whose population standard deviation is
     below 1e-12 is treated as constant and maps to all zeros, so flat
-    inputs never blow up downstream.
+    inputs never blow up downstream.  Raises ValueError if a value is not
+    finite or the mean or standard deviation overflows.
     """
     return _znormalize_rows(_as_series(values))
 
@@ -67,14 +68,15 @@ def _znormalize_rows(x: np.ndarray) -> np.ndarray:
     """:func:`znormalize` along the last axis, each row on its own."""
     mu = x.mean(axis=-1, keepdims=True)
     sd = x.std(axis=-1, keepdims=True)
-    return np.divide(x - mu, sd, out=np.zeros_like(x), where=sd >= _DEGENERATE_STD)
+    z = np.divide(x - mu, sd, out=np.zeros_like(x), where=sd >= _DEGENERATE_STD)
+    if not np.isfinite(z).all():
+        raise ValueError("series contains non-finite values")
+    return z
 
 
 def _znormalized(series: np.ndarray) -> np.ndarray:
-    """Read-only :func:`_znormalize_rows` of (N, n) rows that fails if a mean or std overflowed."""
+    """Read-only :func:`_znormalize_rows` of (N, n) rows."""
     z = _znormalize_rows(series)
-    if not np.isfinite(z).all():
-        raise ValueError("series contains non-finite values")
     z.flags.writeable = False
     return z
 

@@ -164,11 +164,16 @@ class DatasetPair:
             )
 
 
-def _find_split(directory: Path, suffix: str) -> Path:
-    matches = sorted(
-        p for p in directory.glob(f"*_{suffix}*")
+def _split_files(directory: Path, split: str) -> list[Path]:
+    """The series files of one split in ``directory``: ``*_<split>*`` files with a series suffix."""
+    return sorted(
+        p for p in directory.glob(f"*_{split}*")
         if p.is_file() and p.suffix in _SERIES_SUFFIXES
     )
+
+
+def _find_split(directory: Path, suffix: str) -> Path:
+    matches = _split_files(directory, suffix)
     if len(matches) != 1:
         raise FileNotFoundError(
             f"{directory}: expected exactly one *_{suffix} file, found {len(matches)}"

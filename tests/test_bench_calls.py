@@ -5,7 +5,10 @@ rebinds functions by name and reads their arguments by name, so a
 renamed function or a dropped parameter would break the stream workload
 or ``--trace 1`` without failing any other test.  ``bench/`` is only
 read here, and the stream workload is run once for half a second as a
-smoke test; its scratch directory is removed when it exits.
+smoke test; its scratch directory is removed when it exits.  The
+``tall`` and ``wide`` reports of seed 0 are made once each, with the
+call ``bench/record_digests.py`` makes, and checked against
+``bench/digests.json``.
 """
 
 import importlib
@@ -27,7 +30,9 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 sys.path.insert(0, str(BENCH))
 dont_write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
 try:
+    import measure
     import spans
+    from gen import MATRIX_SHAPES, write_matrix_workload
 finally:
     sys.path.remove(str(BENCH))
     sys.dont_write_bytecode = dont_write_bytecode
@@ -64,3 +69,11 @@ def test_stream_workload_runs_and_checks_its_answers():
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0
+
+
+@pytest.mark.parametrize("workload", MATRIX_SHAPES)
+def test_matrix_report_matches_recorded_digest(workload, tmp_path):
+    write_matrix_workload(workload, 0, tmp_path / "data")
+    call = measure.matrix_call(tmp_path)
+    assert call["status"] == 0
+    assert call["sha256"] == json.loads((BENCH / "digests.json").read_text())[workload]["0"]

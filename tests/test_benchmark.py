@@ -216,20 +216,30 @@ class TestEmitReport:
         assert len(lines) == 2
         assert lines[1] == "Toy,classic,3,4,0.0,0.2,2,10,true"
 
-    def test_tied_row_marks_every_winner(self):
+    @pytest.mark.parametrize("fmt", REPORT_FORMATS)
+    def test_tied_row_marks_every_winner(self, fmt):
+        # given out of SCHEMES order; every rendering lists them in it
         reports = {
-            "classic": report_for("Toy", "classic", 0.2),
-            "overlap": report_for("Toy", "overlap", 0.2),
-            "intertwine": report_for("Toy", "intertwine", 0.5),
             "split": report_for("Toy", "split", 0.2),
+            "intertwine": report_for("Toy", "intertwine", 0.5),
+            "overlap": report_for("Toy", "overlap", 0.2),
+            "classic": report_for("Toy", "classic", 0.2),
         }
         matrix = BenchmarkMatrix(
             (BenchmarkRow("Toy", reports),),
             {"classic": 1, "overlap": 1, "intertwine": 0, "split": 1},
         )
-        rows = read_report_csv(emit_report(matrix, "csv"))
-        flags = {r["scheme"]: r["is_row_min"] for r in rows}
+        text = emit_report(matrix, fmt)
+        if fmt == "csv":
+            flags = {r["scheme"]: r["is_row_min"] for r in read_report_csv(text)}
+        elif fmt == "json":
+            cells = json.loads(text)["rows"][0]["schemes"]
+            flags = {scheme: cell["is_row_min"] for scheme, cell in cells.items()}
+        else:
+            header, _, toy = text.splitlines()[:3]
+            flags = {scheme: cell.endswith("*") for scheme, cell in zip(header.split()[1:], toy.split()[1:])}
         assert flags == {"classic": True, "overlap": True, "intertwine": False, "split": True}
+        assert list(flags) == list(SCHEMES)
 
     def test_json_round_trip_matches_matrix(self, suite_matrix):
         payload = json.loads(emit_report(suite_matrix, "json"))

@@ -209,6 +209,13 @@ class TestTuneAlphabet:
         with pytest.raises(ValueError, match=message):
             TunedModel(scheme, m, alphabet_size, tuned.train_words, tuned.table)
 
+    def test_model_rejects_words_that_do_not_fit_its_table(self):
+        tuned = tune_alphabet(random_dataset(np.random.default_rng(5), 6, 16), "classic", 8, [3])
+        # the stored rows and the same words as pairs fail alike
+        for words in (tuned.train_words, tuple(tuned.train_words)):
+            with pytest.raises(ValueError, match="^alphabet sizes differ: words 3/3, table 9$"):
+                TunedModel("classic", 8, 9, words, make_alphabet_table(9))
+
     def test_rejects_bad_range(self):
         rng = np.random.default_rng(89)
         data = random_dataset(rng, 6, 16)

@@ -235,6 +235,15 @@ class TestBenchmark:
         assert [r["dataset"] for r in rows][::4] == ["Bumps", "Ramps", "Steps"]
         assert len(rows) == 12
 
+    def test_discovery_skips_paths_that_hold_no_series_file(self, mini_dir, tmp_path, capsys):
+        root = tmp_path / "root"
+        shutil.copytree(mini_dir, root / "Coffee")
+        (root / "README_TRAIN.md").write_text("not a series file\n")
+        (root / "notes_TRAINING").mkdir()
+        code, out, err = run_cli(["benchmark", str(root), "--alphabet-range", "3:4"], capsys)
+        assert code == 0, err
+        assert {r["dataset"] for r in read_report_csv(out)} == {"Coffee"}
+
     def test_explicit_directory_and_out_file(self, mini_dir, tmp_path, capsys):
         target = tmp_path / "report.csv"
         code, out, _ = run_cli(

@@ -52,6 +52,12 @@ class TestZnormalize:
         with pytest.raises(ValueError):
             znormalize([[1.0, 2.0]])
 
+    def test_overflowing_mean_raises(self):
+        # finite values whose sum overflows, so the mean and the std do
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="^series contains non-finite values$"):
+                znormalize([1.7e308, 1.7e308])
+
     def test_matches_reference(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
