@@ -15,8 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
-from trendsax.core import (MAX_ALPHABET, AlphabetTable, SaxWord, _block_means, _symbol_matrix,
-                           _znormalized, make_alphabet_table)
+from trendsax.core import (MAX_ALPHABET, AlphabetTable, SaxWord, _block_means, _symbol_matrices,
+                           _symbol_matrix, _znormalized, make_alphabet_table)
 from trendsax.distance import _check_compatible, _dist_sq
 from trendsax.segmentation import _check_scheme, segment
 
@@ -207,9 +207,13 @@ def _nearest(a: np.ndarray, b: np.ndarray, sq_pair: np.ndarray, leave_one_out: b
     ``P_min·(1+γ_m)(1+γ_{K+1})/((1−γ_m)(1−γ_{K+1}))``, rounded up; a row
     whose ``P_min`` is 0 keeps its exact zeros only.  The bound needs a
     classical summation: OpenBLAS sgemm adds the products of each element
-    in some order, with no Strassen-like scheme.  The refine step rescores
-    only the kept pairs with ``_dist_sq``, so the product never decides an
-    answer.  ``leave_one_out`` scores ``a`` against itself (``b is a``)
+    in some order, with no Strassen-like scheme.  Every column that could
+    hold a row's exact minimum is kept, so a row that keeps one column has
+    its exact minimum, and its first-index answer, at its ``P_min``: the
+    bound decides that row.  The refine step rescores the kept pairs of
+    every other row with ``_dist_sq``, which decides them.  ``E`` and
+    ``H`` are gathered with ``np.take`` from the float32 table and
+    identity.  ``leave_one_out`` scores ``a`` against itself (``b is a``)
     without the diagonal.  A row chunk holds about ``_CHUNK_BUDGET`` values
     of ``E`` and of ``P``, and the refine step gathers its pairs in smaller
     chunks, so memory stays bounded however many rows either side has.
@@ -219,29 +223,34 @@ def _nearest(a: np.ndarray, b: np.ndarray, sq_pair: np.ndarray, leave_one_out: b
     g64, g32 = _gamma(m, 2.0**-53), _gamma(width + 1, 2.0**-24)
     ratio = np.float64((1 + g64) * (1 + g32) / ((1 - g64) * (1 - g32)))
     sq32 = sq_pair.astype(np.float32)
-    h = np.zeros((n_b, width), dtype=np.float32)
-    h[np.arange(n_b)[:, None], np.arange(0, width, alpha) + b] = 1
+    h = np.take(np.eye(alpha, dtype=np.float32), b, axis=0).reshape(n_b, width)
     arg = np.empty(a.shape[0], dtype=np.int64)
     step = max(1, _CHUNK_BUDGET // max(width, n_b))
     # the refine step holds several int64 and float64 arrays of pairs x m values
     pairs = max(1, _CHUNK_BUDGET // (8 * m))
     for i0 in range(0, a.shape[0], step):
         i1 = min(i0 + step, a.shape[0])
-        p = sq32[a[i0:i1]].reshape(i1 - i0, width) @ h.T
+        chunk = np.arange(i1 - i0)
+        p = np.take(sq32, a[i0:i1], axis=0).reshape(i1 - i0, width) @ h.T
         if leave_one_out:
-            p[np.arange(i1 - i0), np.arange(i0, i1)] = np.inf
+            p[chunk, chunk + i0] = np.inf
+        first = p.argmin(axis=1)
         # rounding the float64 product to float32 and then one step up lands above the real limit
-        limit = (p.min(axis=1, keepdims=True) * ratio).astype(np.float32)
+        limit = (p[chunk, first] * ratio).astype(np.float32)[:, None]
         np.nextafter(limit, np.float32(np.inf), out=limit, where=limit > 0)
-        rows, cols = np.nonzero(p <= limit)
+        keep = p <= limit
+        # a row that keeps one column has its exact minimum there, at its P_min
+        arg[i0:i1] = first
+        tied = np.flatnonzero(np.count_nonzero(keep, axis=1) > 1)
+        rows, cols = np.nonzero(keep[tied])
         d2 = np.empty(rows.size)
         for k0 in range(0, rows.size, pairs):
             k = slice(k0, k0 + pairs)
-            d2[k] = _dist_sq(a[i0 + rows[k]], b[cols[k]], sq_pair)
-        # kept pairs come row by row, columns ascending, and every row keeps its P_min column
+            d2[k] = _dist_sq(a[i0 + tied[rows[k]]], b[cols[k]], sq_pair)
+        # kept pairs come row by row, columns ascending
         starts = np.flatnonzero(np.diff(rows, prepend=-1))
         hits = np.flatnonzero(d2 == np.minimum.reduceat(d2, starts)[rows])
-        arg[i0:i1] = cols[hits[np.diff(rows[hits], prepend=-1) > 0]]
+        arg[i0 + tied] = cols[hits[np.diff(rows[hits], prepend=-1) > 0]]
     return arg
 
 
@@ -277,13 +286,12 @@ def _tune(train: LabeledDataset, scheme: str, m: int,
     alphas = _normalized_alphabet_range(alphabet_range)
     seg = segment(scheme, train.n, m)
     means = _block_means(train._zrows, seg)
+    tables = [make_alphabet_table(alpha) for alpha in alphas]
     best_alpha = None
     best_error = None
     best_rows = None
     best_table = None
-    for alpha in alphas:
-        table = make_alphabet_table(alpha)
-        rows = _symbol_matrix(means, table)
+    for alpha, table, rows in zip(alphas, tables, _symbol_matrices(means, tables)):
         error = _loocv_from_rows(rows, train.labels, table)
         if best_error is None or error < best_error:
             best_alpha, best_error, best_rows, best_table = alpha, error, rows, table
@@ -295,8 +303,8 @@ def tune_alphabet(train: LabeledDataset, scheme: str, m: int,
                   alphabet_range: Iterable[int] = DEFAULT_ALPHABET_RANGE) -> TunedModel:
     """Pick the alphabet size minimizing leave-one-out error on ``train``.
 
-    The sweep shares one aggregation pass across all candidate sizes and
-    resolves ties toward the smallest alphabet.
+    The sweep shares one aggregation pass and one breakpoint search across
+    all candidate sizes and resolves ties toward the smallest alphabet.
     """
     return _tune(train, scheme, m, alphabet_range)[0]
 

@@ -10,6 +10,7 @@ the Euclidean distance between the raw series.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -105,6 +106,23 @@ def _block_means(z: np.ndarray, seg: Segmentation) -> np.ndarray:
 def _symbol_matrix(means: np.ndarray, table: AlphabetTable) -> np.ndarray:
     """:func:`symbolize` of every row of ``means`` at once; int64 symbols, same shape."""
     return np.searchsorted(table.breakpoints, means, side="left").astype(np.int64)
+
+
+def _symbol_matrices(means: np.ndarray, tables: Sequence[AlphabetTable]) -> Iterator[np.ndarray]:
+    """:func:`_symbol_matrix` of ``means`` under each of ``tables`` in turn, from one breakpoint search.
+
+    A mean's symbol is the number of its table's breakpoints strictly below
+    it, and all of those are at or below the largest of all the tables'
+    breakpoints under it, so one search of the pooled, sorted breakpoints
+    and a small lookup per table give every table's symbols exactly.  With
+    one table the lookup is the identity: :func:`_symbol_matrix`.  Repeats
+    do no harm and stay, since a process's first ``np.unique`` call adds
+    about 1.4 MB to its resident memory.
+    """
+    cuts = np.sort(np.concatenate([table.breakpoints for table in tables]))
+    below = np.searchsorted(cuts, means, side="left")
+    for table in tables:
+        yield np.concatenate(([0], np.searchsorted(table.breakpoints, cuts, side="right")))[below]
 
 
 # Rational approximation coefficients for the standard-normal quantile

@@ -177,6 +177,13 @@ class TestTuneAlphabet:
         ]
         assert [label for _, label in model.train_words] == data.labels.tolist()
 
+    def test_sweep_stores_the_rows_of_its_chosen_size_alone(self):
+        data = random_dataset(np.random.default_rng(91), 40, 64, n_classes=3)
+        for scheme in SCHEMES:
+            model = tune_alphabet(data, scheme, 16, range(3, 21))
+            alone = tune_alphabet(data, scheme, 16, [model.alphabet_size])
+            assert np.array_equal(model.train_words.rows, alone.train_words.rows), scheme
+
     def test_model_stores_given_words_as_read_only_rows(self):
         table = make_alphabet_table(4)
         words = ((word_of([0, 1, 2, 3], 4, 16), 1), (word_of([3, 2, 1, 0], 4, 16), 2))

@@ -258,6 +258,16 @@ class TestSymbolize:
         vec = PaaVector(np.array([float(table.breakpoints[0])]), 4)
         assert symbolize(vec, table).symbols.tolist() == [0]
 
+    def test_sweep_equals_one_search_per_table(self):
+        tables = [make_alphabet_table(alpha) for alpha in range(2, MAX_ALPHABET + 1)]
+        bp = np.concatenate([table.breakpoints for table in tables])
+        means = np.concatenate([bp, np.nextafter(bp, -np.inf), np.nextafter(bp, np.inf), [0.0, -0.0],
+                                np.random.default_rng(97).standard_normal(10**5)])[:, None]
+        for table, rows in zip(tables, core._symbol_matrices(means, tables), strict=True):
+            want = core._symbol_matrix(means, table)
+            assert rows.dtype == np.int64 and np.array_equal(rows, want), table.alphabet_size
+            assert np.array_equal(next(core._symbol_matrices(means, [table])), want)
+
     def test_word_metadata(self):
         table = make_alphabet_table(5)
         word = symbolize(PaaVector(np.array([0.0, 2.0]), 10), table)

@@ -219,8 +219,21 @@ def exact_nearest(queries, rows, sq, leave_one_out=False):
     return np.argmin(d2, axis=1)
 
 
+def count_scored_pairs(monkeypatch):
+    """Patch ``classify._dist_sq`` to count the pairs it scores; returns the one-item count list."""
+    scored = [0]
+
+    def counting(a, b, sq):
+        scored[0] += math.prod(np.broadcast_shapes(a.shape, b.shape)[:-1])
+        return _dist_sq(a, b, sq)
+
+    monkeypatch.setattr(classify, "_dist_sq", counting)
+    return scored
+
+
 class TestPrefilter:
-    # the float32 product only picks candidates; the exact sum must decide every answer
+    # the float32 product picks candidates, and its bound decides a row that keeps
+    # one of them; the exact sum must decide every row that keeps two or more
 
     @pytest.mark.parametrize("alpha, m", [(3, 16), (3, 409), (10, 1), (26, 64), (26, 409)])
     def test_equals_the_exact_argmin_and_the_oracle(self, alpha, m):
@@ -249,6 +262,35 @@ class TestPrefilter:
         assert ((d2 == d2.min(axis=1, keepdims=True)).sum(axis=1) > 1).mean() > 0.5
         assert np.array_equal(_nearest(a, a, sq, leave_one_out=True), np.argmin(d2, axis=1))
         assert np.array_equal(_nearest(a[:30], a[30:], sq), exact_nearest(a[:30], a[30:], sq))
+
+    def test_separated_rows_are_decided_by_the_bound_alone(self, monkeypatch):
+        rng = np.random.default_rng(26)
+        a = rng.integers(0, 26, size=(60, 64))
+        b = rng.integers(0, 26, size=(30, 64))
+        table = make_alphabet_table(26)
+        sq, ref_table = table.pair_dist**2, oracles.pair_table(list(table.breakpoints))
+        want_loo = exact_nearest(a, a, sq, leave_one_out=True)
+        want_test = exact_nearest(b, a, sq)
+        scored = count_scored_pairs(monkeypatch)
+        loo, nearest = _nearest(a, a, sq, leave_one_out=True), _nearest(b, a, sq)
+        assert scored == [0]
+        assert np.array_equal(loo, want_loo)
+        assert loo.tolist() == oracle_nearest(a, a, ref_table, leave_one_out=True)
+        assert np.array_equal(nearest, want_test)
+        assert nearest.tolist() == oracle_nearest(b, a, ref_table)
+
+    def test_tied_rows_are_rescored(self, monkeypatch):
+        # the mass-tie case: exact ties keep two or more columns, so the exact sum decides
+        rng = np.random.default_rng(128)
+        edge = 128**-0.5
+        a = rng.choice(3, size=(120, 128), p=[edge, 1 - 2 * edge, edge])
+        sq = make_alphabet_table(3).pair_dist**2
+        d2 = _dist_sq(a[:, None], a[None], sq)
+        np.fill_diagonal(d2, np.inf)
+        scored = count_scored_pairs(monkeypatch)
+        assert np.array_equal(_nearest(a, a, sq, leave_one_out=True), np.argmin(d2, axis=1))
+        tied_rows = int(((d2 == d2.min(axis=1, keepdims=True)).sum(axis=1) > 1).sum())
+        assert scored[0] >= 2 * tied_rows > 0
 
     def test_leave_one_out_never_picks_the_row_itself(self):
         # duplicate rows sit at distance 0 from each other and from themselves
