@@ -71,6 +71,8 @@ class BenchmarkConfig:
             _check_scheme(scheme)
         if not self.schemes:
             raise ValueError("at least one scheme is required")
+        if len(set(self.schemes)) != len(self.schemes):
+            raise ValueError(f"schemes must be distinct, got {', '.join(self.schemes)}")
         _normalized_alphabet_range(self.alphabet_range)
         if self.word_count is not None and self.word_count < 1:
             raise ValueError("word_count must be positive")

@@ -15,8 +15,9 @@ from functools import cached_property
 
 import numpy as np
 
-from trendsax.core import (MAX_ALPHABET, AlphabetTable, SaxWord, _block_means, _symbol_matrices,
-                           _symbol_matrix, _znormalized, make_alphabet_table)
+from trendsax import core
+from trendsax.core import (MAX_ALPHABET, AlphabetTable, SaxWord, _as_integers, _block_means,
+                           _symbol_matrices, _symbol_matrix, make_alphabet_table)
 from trendsax.distance import _check_compatible, _dist_sq
 from trendsax.segmentation import _check_scheme, segment
 
@@ -47,7 +48,7 @@ class LabeledDataset:
 
     def __post_init__(self) -> None:
         series = np.asarray(self.series, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
+        labels = _as_integers(self.labels, "labels")
         if series.ndim != 2 or series.shape[0] == 0 or series.shape[1] == 0:
             raise ValueError("series must be a non-empty (N, n) array")
         if not np.isfinite(series).all():
@@ -66,7 +67,7 @@ class LabeledDataset:
             raise ValueError("dataset must contain at least one instance")
         return cls(
             np.array([np.asarray(s, dtype=np.float64) for s, _ in pairs]),
-            np.array([label for _, label in pairs], dtype=np.int64),
+            [label for _, label in pairs],
         )
 
     def __len__(self) -> int:
@@ -80,7 +81,9 @@ class LabeledDataset:
     @cached_property
     def _zrows(self) -> np.ndarray:
         """The z-normalized rows, computed once on first use and shared by every scheme."""
-        return _znormalized(self.series)
+        z = core._znormalize_rows(self.series)
+        z.flags.writeable = False
+        return z
 
 
 class _TrainingWords(Sequence):
@@ -210,12 +213,14 @@ def _nearest(a: np.ndarray, b: np.ndarray, sq_pair: np.ndarray, leave_one_out: b
     in some order, with no Strassen-like scheme.  Every column that could
     hold a row's exact minimum is kept, so a row that keeps one column has
     its exact minimum, and its first-index answer, at its ``P_min``: the
-    bound decides that row.  The refine step rescores the kept pairs of
-    every other row with ``_dist_sq``, which decides them.  ``E`` and
-    ``H`` are gathered with ``np.take`` from the float32 table and
-    identity.  ``leave_one_out`` scores ``a`` against itself (``b is a``)
-    without the diagonal.  A row chunk holds about ``_CHUNK_BUDGET`` values
-    of ``E`` and of ``P``, and the refine step gathers its pairs in smaller
+    bound decides that row.  The refine step writes the ``_dist_sq`` of
+    every other row's kept pairs into a (tied rows, N_b) float64 matrix
+    that starts at +inf, and its ``argmin`` along each row, the first
+    exact minimum, decides them.  ``E`` and ``H`` are gathered with
+    ``np.take`` from the float32 table and identity.  ``leave_one_out``
+    scores ``a`` against itself (``b is a``) without the diagonal.  A row
+    chunk holds about ``_CHUNK_BUDGET`` values of ``E``, of ``P`` and of
+    the refine matrix, and the refine step gathers its pairs in smaller
     chunks, so memory stays bounded however many rows either side has.
     """
     alpha, (n_b, m) = sq_pair.shape[0], b.shape
@@ -243,14 +248,11 @@ def _nearest(a: np.ndarray, b: np.ndarray, sq_pair: np.ndarray, leave_one_out: b
         arg[i0:i1] = first
         tied = np.flatnonzero(np.count_nonzero(keep, axis=1) > 1)
         rows, cols = np.nonzero(keep[tied])
-        d2 = np.empty(rows.size)
+        d2 = np.full((tied.size, n_b), np.inf)
         for k0 in range(0, rows.size, pairs):
             k = slice(k0, k0 + pairs)
-            d2[k] = _dist_sq(a[i0 + tied[rows[k]]], b[cols[k]], sq_pair)
-        # kept pairs come row by row, columns ascending
-        starts = np.flatnonzero(np.diff(rows, prepend=-1))
-        hits = np.flatnonzero(d2 == np.minimum.reduceat(d2, starts)[rows])
-        arg[i0 + tied] = cols[hits[np.diff(rows[hits], prepend=-1) > 0]]
+            d2[rows[k], cols[k]] = _dist_sq(a[i0 + tied[rows[k]]], b[cols[k]], sq_pair)
+        arg[i0 + tied] = d2.argmin(axis=1)
     return arg
 
 
@@ -270,7 +272,7 @@ def loocv_error(train: LabeledDataset, scheme: str, m: int, alphabet_size: int) 
 
 
 def _normalized_alphabet_range(alphabet_range: Iterable[int]) -> list[int]:
-    alphas = sorted({int(a) for a in alphabet_range})
+    alphas = sorted(set(_as_integers(list(alphabet_range), "alphabet sizes").tolist()))
     if not alphas:
         raise ValueError("alphabet range is empty")
     if alphas[0] < 2 or alphas[-1] > MAX_ALPHABET:
@@ -287,16 +289,11 @@ def _tune(train: LabeledDataset, scheme: str, m: int,
     seg = segment(scheme, train.n, m)
     means = _block_means(train._zrows, seg)
     tables = [make_alphabet_table(alpha) for alpha in alphas]
-    best_alpha = None
-    best_error = None
-    best_rows = None
-    best_table = None
-    for alpha, table, rows in zip(alphas, tables, _symbol_matrices(means, tables)):
-        error = _loocv_from_rows(rows, train.labels, table)
-        if best_error is None or error < best_error:
-            best_alpha, best_error, best_rows, best_table = alpha, error, rows, table
-    words = _TrainingWords(best_rows, train.labels, best_alpha, seg.n_effective)
-    return TunedModel(scheme, m, best_alpha, words, best_table), best_error
+    errors = [_loocv_from_rows(rows, train.labels, table)
+              for table, rows in zip(tables, _symbol_matrices(means, tables))]
+    best = errors.index(min(errors))
+    words = _TrainingWords(_symbol_matrix(means, tables[best]), train.labels, alphas[best], seg.n_effective)
+    return TunedModel(scheme, m, alphas[best], words, tables[best]), errors[best]
 
 
 def tune_alphabet(train: LabeledDataset, scheme: str, m: int,

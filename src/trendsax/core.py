@@ -48,6 +48,16 @@ def _as_series(values, name: str = "series") -> np.ndarray:
     return x
 
 
+def _as_integers(values, name: str) -> np.ndarray:
+    """``values`` as int64; ValueError for any value that the cast would truncate or wrap."""
+    x = np.asarray(values)
+    if x.dtype.kind not in "bi":
+        x = np.asarray(x, dtype=np.float64)
+        if not ((x == np.trunc(x)) & (x >= -(2.0**63)) & (x < 2.0**63)).all():
+            raise ValueError(f"{name} must be integral and within the int64 range")
+    return x.astype(np.int64, copy=False)
+
+
 def znormalize(values) -> np.ndarray:
     """Shift and scale a series to mean 0 and population standard deviation 1.
 
@@ -72,13 +82,6 @@ def _znormalize_rows(x: np.ndarray) -> np.ndarray:
     z = np.divide(x - mu, sd, out=np.zeros_like(x), where=sd >= _DEGENERATE_STD)
     if not np.isfinite(z).all():
         raise ValueError("series contains non-finite values")
-    return z
-
-
-def _znormalized(series: np.ndarray) -> np.ndarray:
-    """Read-only :func:`_znormalize_rows` of (N, n) rows."""
-    z = _znormalize_rows(series)
-    z.flags.writeable = False
     return z
 
 
@@ -265,7 +268,7 @@ def make_alphabet_table(alphabet_size: int) -> AlphabetTable:
     probabilities ``i / alphabet_size``, which makes every symbol equally
     likely under a z-normalized Gaussian series.  Valid sizes are 2..26.
     """
-    alpha = int(alphabet_size)
+    alpha = int(_as_integers(alphabet_size, "alphabet size"))
     if not 2 <= alpha <= MAX_ALPHABET:
         raise ValueError(f"alphabet size must be in [2, {MAX_ALPHABET}], got {alphabet_size}")
     return _build_table(alpha)
@@ -325,7 +328,7 @@ class SaxWord:
     source_length: int
 
     def __post_init__(self) -> None:
-        syms = np.asarray(self.symbols, dtype=np.int64)
+        syms = _as_integers(self.symbols, "symbols")
         if syms.ndim != 1 or syms.size == 0:
             raise ValueError("symbols must be a non-empty one-dimensional sequence")
         if not 2 <= self.alphabet_size <= MAX_ALPHABET:

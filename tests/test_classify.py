@@ -233,6 +233,12 @@ class TestTuneAlphabet:
         with pytest.raises(ValueError):
             tune_alphabet(data, "classic", 4, alphabet_range=[27])
 
+    def test_rejects_a_fractional_size(self):
+        data = random_dataset(np.random.default_rng(89), 6, 16)
+        with pytest.raises(ValueError, match="alphabet sizes must be integral"):
+            tune_alphabet(data, "classic", 4, alphabet_range=[4.9])
+        assert tune_alphabet(data, "classic", 4, alphabet_range=[4.0]).alphabet_size == 4
+
 
 class TestEvaluate:
     def test_test_equals_train_scores_zero(self):
@@ -289,6 +295,19 @@ class TestLabeledDataset:
             LabeledDataset(np.array([[np.nan, 1.0]]), np.array([1]))
         with pytest.raises(ValueError):
             LabeledDataset(np.array([[1.0, 2.0]]), np.array([1, 2]))
+
+    @pytest.mark.parametrize("labels", [[1.5, 2.7], [1.0, 1e30], [1.0, np.nan]])
+    def test_rejects_labels_a_cast_would_change(self, labels):
+        series = [[1.0, 2.0], [3.0, 4.0]]
+        with pytest.raises(ValueError, match="labels must be integral"):
+            LabeledDataset(np.array(series), labels)
+        with pytest.raises(ValueError, match="labels must be integral"):
+            LabeledDataset.from_instances(zip(series, labels))
+
+    def test_accepts_integral_float_labels(self):
+        data = LabeledDataset(np.array([[1.0, 2.0], [3.0, 4.0]]), [2.0, -(2.0**63)])
+        assert data.labels.dtype == np.int64
+        assert data.labels.tolist() == [2, -(2**63)]
 
     def test_arrays_immutable(self):
         data = LabeledDataset(np.array([[1.0, 2.0]]), np.array([1]))

@@ -59,6 +59,14 @@ class TestParsing:
         assert out == ""
         assert err == f"error: unknown scheme 'diagonal'; expected one of {SCHEMES}\n"
 
+    @pytest.mark.parametrize("command", [["verify-bound"], ["benchmark", "absent"]])
+    def test_repeated_scheme_fails_before_any_work(self, command, tmp_path, capsys):
+        paths = [str(tmp_path / arg) for arg in command[1:]]
+        code, out, err = run_cli([command[0], *paths, "--scheme", "classic,split,classic"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "error: schemes must be distinct, got classic, split, classic\n"
+
     def test_word_count_and_ratio_are_exclusive(self):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(

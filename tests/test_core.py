@@ -16,7 +16,7 @@ from trendsax.core import (
     PaaVector,
     SaxWord,
     _block_means,
-    _znormalized,
+    _znormalize_rows,
     gaussian_quantile,
     make_alphabet_table,
     paa,
@@ -128,6 +128,11 @@ class TestMakeAlphabetTable:
             with pytest.raises(ValueError):
                 make_alphabet_table(alpha)
 
+    def test_rejects_a_fractional_size(self):
+        with pytest.raises(ValueError, match="alphabet size must be integral"):
+            make_alphabet_table(4.9)
+        assert make_alphabet_table(4.0) is make_alphabet_table(4)
+
     def test_structural_validation(self):
         good = make_alphabet_table(3)
         with pytest.raises(ValueError):
@@ -223,7 +228,7 @@ class TestBlockMeans:
             seg = segment(SCHEMES[case % len(SCHEMES)], n, m)
             long_blocks += seg.w >= 8
             want = [oracles.paa_means(oracles.znormalize(row), seg.blocks.tolist()) for row in series.tolist()]
-            assert np.array_equal(_block_means(_znormalized(series), seg), want), (seg.scheme, rows, n, m)
+            assert np.array_equal(_block_means(_znormalize_rows(series), seg), want), (seg.scheme, rows, n, m)
         assert long_blocks >= 40
 
     def test_memory_stays_bounded(self):
@@ -280,6 +285,11 @@ class TestSymbolize:
             SaxWord(np.array([0, 3]), 3, 8)  # symbol 3 outside alphabet of 3
         with pytest.raises(ValueError):
             SaxWord(np.array([0, 1]), 3, 7)  # 7 not a multiple of 2
+
+    def test_word_rejects_fractional_symbols(self):
+        with pytest.raises(ValueError, match="symbols must be integral"):
+            SaxWord([0.7, 1.9], 3, 2)
+        assert SaxWord([0.0, 2.0], 3, 2).symbols.tolist() == [0, 2]
 
 
 # ----------------------------------------------------------------- properties
