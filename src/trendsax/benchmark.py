@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Iterable
 
 from trendsax.classify import DEFAULT_ALPHABET_RANGE, EvaluationReport, _normalized_alphabet_range, evaluate
+from trendsax.core import _as_integers
 from trendsax.dataset import DatasetPair, load_dataset_pair
 from trendsax.segmentation import SCHEMES, _check_scheme
 
@@ -49,9 +50,6 @@ CSV_COLUMNS = ("dataset", "scheme", *(column for column, _, _ in _REPORT_FIELDS)
 # how read_report_csv parses each column of CSV_COLUMNS
 _CSV_TYPES = (str, str, *(parse for _, _, parse in _REPORT_FIELDS), "true".__eq__)
 
-REPORT_FORMATS = ("csv", "json", "text")
-
-
 @dataclass(frozen=True)
 class BenchmarkConfig:
     """Settings shared by every dataset in a run.
@@ -74,12 +72,12 @@ class BenchmarkConfig:
         if len(set(self.schemes)) != len(self.schemes):
             raise ValueError(f"schemes must be distinct, got {', '.join(self.schemes)}")
         _normalized_alphabet_range(self.alphabet_range)
-        if self.word_count is not None and self.word_count < 1:
-            raise ValueError("word_count must be positive")
-        if self.ratio < 1:
-            raise ValueError("ratio must be positive")
-        if self.jobs < 1:
-            raise ValueError("jobs must be positive")
+        for name in ("word_count", "ratio", "jobs"):
+            count = getattr(self, name)
+            if count is not None:
+                if _as_integers(count, name) < 1:
+                    raise ValueError(f"{name} must be positive")
+                object.__setattr__(self, name, int(count))
 
     def word_count_for(self, n: int) -> int:
         if self.word_count is not None:
@@ -272,6 +270,11 @@ def _emit_text(matrix: BenchmarkMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
+_EMITTERS = {"csv": _emit_csv, "json": _emit_json, "text": _emit_text}
+
+REPORT_FORMATS = tuple(_EMITTERS)
+
+
 def emit_report(matrix: BenchmarkMatrix, fmt: str = "csv") -> str:
     """Render a matrix as ``csv``, ``json``, or ``text``.
 
@@ -279,13 +282,9 @@ def emit_report(matrix: BenchmarkMatrix, fmt: str = "csv") -> str:
     :data:`CSV_COLUMNS`; floats use their shortest round-trip form.
     Failed datasets appear only in the JSON and text renderings.
     """
-    if fmt == "csv":
-        return _emit_csv(matrix)
-    if fmt == "json":
-        return _emit_json(matrix)
-    if fmt == "text":
-        return _emit_text(matrix)
-    raise ValueError(f"unknown report format {fmt!r}; expected one of {REPORT_FORMATS}")
+    if fmt not in _EMITTERS:
+        raise ValueError(f"unknown report format {fmt!r}; expected one of {REPORT_FORMATS}")
+    return _EMITTERS[fmt](matrix)
 
 
 def read_report_csv(text: str) -> list[dict[str, object]]:

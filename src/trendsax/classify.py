@@ -293,7 +293,7 @@ def _tune(train: LabeledDataset, scheme: str, m: int,
               for table, rows in zip(tables, _symbol_matrices(means, tables))]
     best = errors.index(min(errors))
     words = _TrainingWords(_symbol_matrix(means, tables[best]), train.labels, alphas[best], seg.n_effective)
-    return TunedModel(scheme, m, alphas[best], words, tables[best]), errors[best]
+    return TunedModel(scheme, seg.m, alphas[best], words, tables[best]), errors[best]
 
 
 def tune_alphabet(train: LabeledDataset, scheme: str, m: int,
@@ -323,7 +323,7 @@ def evaluate(train: LabeledDataset, test: LabeledDataset, scheme: str, m: int,
         dataset=dataset,
         scheme=scheme,
         alpha=model.alphabet_size,
-        m=m,
+        m=seg.m,
         train_error=train_error,
         test_error=misclassified / total,
         misclassified=misclassified,

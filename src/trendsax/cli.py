@@ -50,18 +50,14 @@ def _parse_alphabet_range(text: str) -> tuple[int, ...]:
         ) from None
 
 
-def _add_word_length_flags(parser: argparse.ArgumentParser) -> None:
+def _add_common_flags(parser: argparse.ArgumentParser, schemes_default: str = "classic") -> None:
+    parser.add_argument("--scheme", default=schemes_default,
+                        help=f"segmentation scheme: {', '.join(SCHEMES)}, or 'all'")
     group = parser.add_mutually_exclusive_group()
     group.add_argument("--word-count", type=int, metavar="M",
                        help="fixed number of word symbols")
     group.add_argument("--ratio", type=int, default=4, metavar="R",
                        help="symbols per R source points when --word-count is absent (default 4)")
-
-
-def _add_common_flags(parser: argparse.ArgumentParser, schemes_default: str = "classic") -> None:
-    parser.add_argument("--scheme", default=schemes_default,
-                        help=f"segmentation scheme: {', '.join(SCHEMES)}, or 'all'")
-    _add_word_length_flags(parser)
 
 
 def _schemes_from(arg: str) -> tuple[str, ...]:
@@ -109,10 +105,9 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_bound(args: argparse.Namespace) -> int:
-    if args.pairs < 1:
-        raise ValueError("pairs must be positive")
-    if args.length < 1:
-        raise ValueError("length must be positive")
+    for name in ("pairs", "length"):
+        if getattr(args, name) < 1:
+            raise ValueError(f"{name} must be positive")
     config = BenchmarkConfig(schemes=_schemes_from(args.scheme),
                              word_count=args.word_count, ratio=args.ratio)
     rng = np.random.default_rng(args.seed)

@@ -6,9 +6,10 @@ file must have the same number of values.  Labels written as reals are
 accepted when they are within 1e-6 of an integer.
 
 A file is parsed twice at most.  numpy's C reader goes first, and its
-array is kept only when the file ends lines at newlines alone, it gives
-at least one row of a label and a value, every number is finite, and
-every label is within 1e-6 of an integer that fits 64 bits.  Otherwise,
+array is kept only when the file holds none of U+000B, U+000C, U+001C to
+U+001F, U+0085, U+2028 and U+2029 (see ``_LINE_PARSER_CHARS``), every
+number is finite, every label is within 1e-6 of an integer that fits 64
+bits, and it gives at least one row of a label and a value.  Otherwise,
 or when the C reader refuses the file, the line parser reads it again:
 it defines the grammar, and it names the first offending line.  Where
 both accept a file they give equal arrays.
@@ -29,9 +30,10 @@ __all__ = ["DatasetPair", "UcrFormatError", "load_dataset_pair", "load_ucr"]
 
 _SERIES_SUFFIXES = {"", ".txt", ".tsv", ".csv"}
 
-# where str.splitlines ends a line besides "\n" ("\r" is already a
-# newline once a file is read in text mode)
-_LINE_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+# characters that send a file to the line parser: numpy's reader strips them
+# from the edges of a field, while str.splitlines ends a line at each but
+# "\x1f", which float() refuses ("\r" is a newline once read in text mode)
+_LINE_PARSER_CHARS = "\v\f\x1c\x1d\x1e\x1f\x85\u2028\u2029"
 
 
 class UcrFormatError(ValueError):
@@ -81,61 +83,55 @@ def load_ucr(path) -> LabeledDataset:
 def _load_fast(path: Path) -> LabeledDataset:
     """numpy's C reader; ValueError for any file the line parser must judge.
 
-    ``str.splitlines`` also ends a line at the characters in
-    ``_LINE_BREAKS``, while numpy's reader strips them from the edges of
-    a field, so a file holding any of them is left to the line parser.
+    A file holding any of ``_LINE_PARSER_CHARS``, a non-finite number, a
+    label more than 1e-6 from an integer or a table that ``LabeledDataset``
+    refuses (no values, a label outside int64) is left to the line parser.
     """
     with path.open() as fh:
         first = next((line for line in fh if line.strip()), "")
         fh.seek(0)
         for chunk in iter(lambda: fh.read(1 << 20), ""):
-            if any(c in chunk for c in _LINE_BREAKS):
-                raise ValueError("line break other than a newline")
+            if any(c in chunk for c in _LINE_PARSER_CHARS):
+                raise ValueError("a character the C reader reads otherwise")
     table = np.loadtxt(path, delimiter=_detect_delimiter(first.strip()), comments=None,
                        ndmin=2, dtype=np.float64)
     labels = np.round(table[:, 0])
-    if (table.shape[0] < 1 or table.shape[1] < 2 or not np.isfinite(table).all()
-            or (np.abs(table[:, 0] - labels) > 1e-6).any()
-            or (labels < -(2.0**63)).any() or (labels >= 2.0**63).any()):
+    # finite first: an infinite label would warn in the subtraction
+    if not np.isfinite(table).all() or (np.abs(table[:, 0] - labels) > 1e-6).any():
         raise ValueError("outside the checked subset of the grammar")
-    return LabeledDataset(table[:, 1:], labels.astype(np.int64))
+    return LabeledDataset(table[:, 1:], labels)
+
+
+def _parse_values(tokens: list[str]) -> np.ndarray:
+    try:
+        values = np.array([float(t) for t in tokens], dtype=np.float64)
+    except ValueError:
+        raise ValueError("series value is not a number") from None
+    if not np.isfinite(values).all():
+        raise ValueError("series contains a non-finite value")
+    return values
 
 
 def _load_lines(path: Path) -> LabeledDataset:
     """The line-by-line parser, which defines the grammar."""
-    text = path.read_text()
     rows: list[np.ndarray] = []
     labels: list[int] = []
     delimiter = None
-    width = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
-        if delimiter is None:
-            try:
-                delimiter = _detect_delimiter(line)
-            except ValueError as exc:
-                raise UcrFormatError(path, lineno, str(exc)) from None
-        fields = [f for f in line.split(delimiter) if f.strip()]
-        if len(fields) < 2:
-            raise UcrFormatError(path, lineno, "expected a label followed by series values")
         try:
+            delimiter = delimiter or _detect_delimiter(line)
+            fields = [f for f in line.split(delimiter) if f.strip()]
+            if len(fields) < 2:
+                raise ValueError("expected a label followed by series values")
             label = _parse_label(fields[0])
+            values = _parse_values(fields[1:])
+            if rows and values.size != rows[0].size:
+                raise ValueError(f"row has {values.size} values, expected {rows[0].size}")
         except ValueError as exc:
             raise UcrFormatError(path, lineno, str(exc)) from None
-        try:
-            values = np.array([float(f) for f in fields[1:]], dtype=np.float64)
-        except ValueError:
-            raise UcrFormatError(path, lineno, "series value is not a number") from None
-        if not np.isfinite(values).all():
-            raise UcrFormatError(path, lineno, "series contains a non-finite value")
-        if width is None:
-            width = values.size
-        elif values.size != width:
-            raise UcrFormatError(
-                path, lineno, f"row has {values.size} values, expected {width}"
-            )
         labels.append(label)
         rows.append(values)
     if not rows:

@@ -36,6 +36,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from trendsax.core import _as_integers
+
 __all__ = ["SCHEMES", "Segmentation", "segment"]
 
 SCHEMES = ("classic", "overlap", "intertwine", "split")
@@ -110,16 +112,17 @@ def segment(scheme: str, n: int, m: int) -> Segmentation:
     Parameters
     ----------
     scheme : one of ``SCHEMES``
-    n : length of the source series
-    m : number of blocks, ``1 <= m <= n``
+    n : length of the source series, integral
+    m : number of blocks, integral, ``1 <= m <= n``
 
     Returns
     -------
     Segmentation of the first ``m * w`` indices into ``m`` blocks of
     ``w = n // m``; the trailing ``n - m * w`` indices are dropped.
     """
-    n = int(n)
-    m = int(m)
+    # ints are taken as they are: the numpy cast would double a call's cost
+    if type(n) is not int or type(m) is not int:
+        n, m = _as_integers((n, m), "n and m").tolist()
     if m < 1:
         raise ValueError("m must be at least 1")
     if m > n:

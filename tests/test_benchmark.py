@@ -6,6 +6,7 @@ import sys
 from concurrent.futures import Future
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -94,6 +95,19 @@ class TestConfig:
             BenchmarkConfig(alphabet_range=())
         with pytest.raises(ValueError, match=re.escape("alphabet sizes must lie in [2, 26]")):
             BenchmarkConfig(alphabet_range=tuple(range(2, 31)))
+
+    @pytest.mark.parametrize("name, value", [("ratio", 2.5), ("word_count", 2.5), ("jobs", 1.5)])
+    def test_counts_must_be_integral(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be integral"):
+            BenchmarkConfig(**{name: value})
+
+    def test_integral_float_counts_are_stored_as_ints(self, suite_pairs):
+        config = BenchmarkConfig(word_count=7.0, ratio=np.int64(4), jobs=2.0)
+        assert [type(config.word_count), type(config.ratio), type(config.jobs)] == [int] * 3
+        # a float ratio must not reach the report's m, nor a float jobs the process pool
+        floats = BenchmarkConfig(alphabet_range=(3, 4), ratio=4.0, jobs=2.0)
+        ints = BenchmarkConfig(alphabet_range=(3, 4), ratio=4, jobs=2)
+        assert emit_report(run_benchmark(suite_pairs, floats)) == emit_report(run_benchmark(suite_pairs, ints))
 
 
 class TestRunBenchmark:

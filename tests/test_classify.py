@@ -273,6 +273,11 @@ class TestEvaluate:
         assert report.misclassified == want["misclassified"]
         assert report.total == want["total"]
 
+    def test_report_states_an_integral_float_m_as_an_int(self):
+        data = random_dataset(np.random.default_rng(97), 10, 16, n_classes=2)
+        report = evaluate(data, data, "classic", 4.0, alphabet_range=(3, 4))
+        assert type(report.m) is int and report == evaluate(data, data, "classic", 4, alphabet_range=(3, 4))
+
     def test_rejects_length_mismatch(self):
         rng = np.random.default_rng(103)
         a = random_dataset(rng, 6, 16)

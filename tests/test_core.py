@@ -133,6 +133,11 @@ class TestMakeAlphabetTable:
             make_alphabet_table(4.9)
         assert make_alphabet_table(4.0) is make_alphabet_table(4)
 
+    def test_table_rejects_a_fractional_size(self):
+        good = make_alphabet_table(3)
+        with pytest.raises(ValueError, match="alphabet size must be integral"):
+            AlphabetTable(3.5, good.breakpoints, good.pair_dist)
+
     def test_structural_validation(self):
         good = make_alphabet_table(3)
         with pytest.raises(ValueError):
@@ -285,6 +290,18 @@ class TestSymbolize:
             SaxWord(np.array([0, 3]), 3, 8)  # symbol 3 outside alphabet of 3
         with pytest.raises(ValueError):
             SaxWord(np.array([0, 1]), 3, 7)  # 7 not a multiple of 2
+
+    def test_word_rejects_a_fractional_alphabet_size(self):
+        with pytest.raises(ValueError, match="alphabet size must be integral"):
+            SaxWord([0, 2], 3.5, 4)
+
+    def test_integral_float_sizes_are_stored_as_ints(self):
+        good = make_alphabet_table(3)
+        word = SaxWord([0, 2], 3.0, 4.0)
+        sizes = [word.alphabet_size, word.source_length, PaaVector([0.1, 0.2], 4.0).source_length,
+                 AlphabetTable(3.0, good.breakpoints, good.pair_dist).alphabet_size]
+        assert sizes == [3, 4, 4, 3]
+        assert [type(size) for size in sizes] == [int] * 4
 
     def test_word_rejects_fractional_symbols(self):
         with pytest.raises(ValueError, match="symbols must be integral"):

@@ -1,3 +1,6 @@
+import sys
+import unicodedata
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -148,6 +151,26 @@ def test_load_ucr_agrees_with_line_parser(tmp_path, text):
     path = tmp_path / "d.txt"
     path.write_bytes(text.encode("utf-8"))
     assert _outcome(load_ucr, path) == _outcome(dataset._load_lines, path)
+
+
+# every whitespace and control character, and two invisible ones that
+# str.isspace() leaves out
+ODD_CHARACTERS = sorted(
+    {c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace() or unicodedata.category(c) == "Cc"}
+    | {"\ufeff", "\u200b"}
+)
+
+
+def test_load_ucr_agrees_with_line_parser_on_every_odd_character(tmp_path):
+    assert len(ODD_CHARACTERS) == 86
+    path = tmp_path / "d.txt"
+    disagreements = []
+    for c in ODD_CHARACTERS:
+        for text in (f"1,2{c},3", f"1,{c}2,3", f"1{c},2,3", f"{c}1,2,3\n2,3,4{c}"):
+            path.write_bytes(text.encode("utf-8"))
+            if _outcome(load_ucr, path) != _outcome(dataset._load_lines, path):
+                disagreements.append(text)
+    assert disagreements == []
 
 
 def test_invalid_utf8_raises_as_the_line_parser_does(tmp_path):

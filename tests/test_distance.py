@@ -373,7 +373,9 @@ class TestVerifyLowerBound:
         ([0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0], 2, 30, "alphabet size must be in [2, 26], got 30"),
         ([0.0, 1.0], [1.0, 2.0, 3.0], 1, 4,
          "series must be one-dimensional and equal length, got (2,) and (3,)"),
-    ], ids=["nan-left", "inf-right", "m-above-n-first", "alphabet", "length"])
+        ([0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0], 2.5, 4,
+         "n and m must be integral and within the int64 range"),
+    ], ids=["nan-left", "inf-right", "m-above-n-first", "alphabet", "length", "fractional-m"])
     def test_messages_and_their_order(self, s, t, m, alpha, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             verify_lower_bound(s, t, "split", m, alpha)

@@ -75,6 +75,16 @@ class TestPolicies:
         with pytest.raises(ValueError):
             segment("classic", 4, 5)
 
+    @pytest.mark.parametrize("n, m", [(10.5, 2), (10, 2.5)])
+    def test_rejects_a_fractional_length_or_block_count(self, n, m):
+        with pytest.raises(ValueError, match="n and m must be integral"):
+            segment("classic", n, m)
+
+    def test_integral_floats_give_the_int_segmentation(self):
+        seg = segment("classic", 10.0, np.int64(2))
+        assert (type(seg.n_effective), type(seg.m)) == (int, int)
+        assert seg.blocks.tolist() == segment("classic", 10, 2).blocks.tolist()
+
 
 class TestSegmentationType:
     def test_rejects_non_partition(self):
