@@ -10,13 +10,13 @@ given configuration always produces the same report.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from trendsax import core
-from trendsax.core import (MAX_ALPHABET, AlphabetTable, SaxWord, _as_integers, _block_means,
+from trendsax.core import (MAX_ALPHABET, AlphabetTable, SaxWord, _as_integers, _block_means, _read_only,
                            _symbol_matrices, _symbol_matrix, make_alphabet_table)
 from trendsax.distance import _check_compatible, _dist_sq
 from trendsax.segmentation import _check_scheme, segment
@@ -41,7 +41,7 @@ _CHUNK_BUDGET = 2**18
 
 @dataclass(frozen=True, eq=False)
 class LabeledDataset:
-    """Uniform-length labeled series: ``series`` is (N, n), ``labels`` is (N,)."""
+    """Uniform-length labeled series: ``series`` is (N, n), ``labels`` is (N,), both read-only."""
 
     series: np.ndarray
     labels: np.ndarray
@@ -55,20 +55,15 @@ class LabeledDataset:
             raise ValueError("series contain non-finite values")
         if labels.shape != (series.shape[0],):
             raise ValueError("labels must be one integer per series")
-        series.flags.writeable = False
-        labels.flags.writeable = False
-        object.__setattr__(self, "series", series)
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "series", _read_only(series, self.series))
+        object.__setattr__(self, "labels", _read_only(labels, self.labels))
 
     @classmethod
     def from_instances(cls, instances: Iterable[tuple[Sequence[float], int]]) -> "LabeledDataset":
         pairs = list(instances)
         if not pairs:
             raise ValueError("dataset must contain at least one instance")
-        return cls(
-            np.array([np.asarray(s, dtype=np.float64) for s, _ in pairs]),
-            [label for _, label in pairs],
-        )
+        return cls([s for s, _ in pairs], [label for _, label in pairs])
 
     def __len__(self) -> int:
         return self.series.shape[0]
@@ -135,28 +130,27 @@ def _fitted_words(train_words: Iterable[tuple[SaxWord, int]], table: AlphabetTab
 class TunedModel:
     """A trained configuration: the chosen alphabet and the training words.
 
-    ``train_words`` is stored as the training symbol rows (read-only
-    (N, m) int64) and their labels, and reads as a sequence of
-    ``(SaxWord, label)`` pairs built on demand.  ``nn1`` scores those rows
-    as they are, with no stacking and no per-word check.  Rows given here
-    are checked once against ``table``; any other sequence of pairs is
-    checked word by word and stored as rows the same way.  ``m`` and
-    ``alphabet_size`` must match the words and ``table``.
+    ``TunedModel(scheme, train_words, table)``.  ``train_words`` is stored
+    as the training symbol rows (read-only (N, m) int64) and their labels,
+    and reads as a sequence of ``(SaxWord, label)`` pairs built on demand.
+    ``nn1`` scores those rows as they are, with no stacking and no
+    per-word check.  Rows given here are checked once against ``table``;
+    any other sequence of pairs is checked word by word and stored as rows
+    the same way.  Construction sets ``m`` from the words and
+    ``alphabet_size`` from ``table``.
     """
 
     scheme: str
-    m: int
-    alphabet_size: int
     train_words: Sequence[tuple[SaxWord, int]]
     table: AlphabetTable
+    m: int = field(init=False)
+    alphabet_size: int = field(init=False)
 
     def __post_init__(self) -> None:
         _check_scheme(self.scheme)
         object.__setattr__(self, "train_words", _fitted_words(self.train_words, self.table))
-        if self.m != self.train_words.m:
-            raise ValueError(f"m={self.m} but the training words have m={self.train_words.m}")
-        if self.alphabet_size != self.table.alphabet_size:
-            raise ValueError(f"alphabet_size={self.alphabet_size} but table has {self.table.alphabet_size}")
+        object.__setattr__(self, "m", self.train_words.m)
+        object.__setattr__(self, "alphabet_size", self.table.alphabet_size)
 
 
 @dataclass(frozen=True)
@@ -293,7 +287,7 @@ def _tune(train: LabeledDataset, scheme: str, m: int,
               for table, rows in zip(tables, _symbol_matrices(means, tables))]
     best = errors.index(min(errors))
     words = _TrainingWords(_symbol_matrix(means, tables[best]), train.labels, alphas[best], seg.n_effective)
-    return TunedModel(scheme, seg.m, alphas[best], words, tables[best]), errors[best]
+    return TunedModel(scheme, words, tables[best]), errors[best]
 
 
 def tune_alphabet(train: LabeledDataset, scheme: str, m: int,

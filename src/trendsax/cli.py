@@ -112,7 +112,6 @@ def _cmd_verify_bound(args: argparse.Namespace) -> int:
                              word_count=args.word_count, ratio=args.ratio)
     rng = np.random.default_rng(args.seed)
     m = config.word_count_for(args.length)
-    checked = 0
     violations = 0
     worst = float("inf")
     for _ in range(args.pairs):
@@ -120,13 +119,13 @@ def _cmd_verify_bound(args: argparse.Namespace) -> int:
         t = rng.standard_normal(args.length)
         for scheme in config.schemes:
             report = verify_lower_bound(s, t, scheme, m, args.alphabet)
-            checked += 1
             worst = min(worst, report.slack)
             if not report.holds:
                 violations += 1
     status = "ok" if violations == 0 else "VIOLATED"
+    checks = args.pairs * len(config.schemes)
     print(
-        f"{status}: {checked} checks ({args.pairs} pairs x {len(config.schemes)} schemes), "
+        f"{status}: {checks} checks ({args.pairs} pairs x {len(config.schemes)} schemes), "
         f"length={args.length} m={m} alphabet={args.alphabet} seed={args.seed}, "
         f"min slack={worst:.6g}"
     )

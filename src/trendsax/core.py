@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
@@ -54,10 +54,20 @@ def _as_integers(values, name: str) -> np.ndarray:
     """``values`` as int64; ValueError for any value that the cast would truncate or wrap."""
     x = np.asarray(values)
     if x.dtype.kind not in "bi":
-        x = np.asarray(x, dtype=np.float64)
+        # a string or object array fails as nan: the float cast would read "4" as 4
+        x = np.asarray(x, dtype=np.float64) if x.dtype.kind in "uf" else np.array(np.nan)
         if not ((x == np.trunc(x)) & (x >= -(2.0**63)) & (x < 2.0**63)).all():
             raise ValueError(f"{name} must be integral and within the int64 range")
     return x.astype(np.int64, copy=False)
+
+
+def _read_only(x: np.ndarray, given) -> np.ndarray:
+    """``x`` read-only for a record; copied first if it is ``given`` or a view, which the caller may write."""
+    if x.flags.writeable:
+        if x is given or x.base is not None:
+            x = x.copy()
+        x.flags.writeable = False
+    return x
 
 
 def _alphabet_size(value) -> int:
@@ -105,7 +115,7 @@ def _znormalize_rows(x: np.ndarray) -> np.ndarray:
 
 
 def _block_means(z: np.ndarray, seg: Segmentation) -> np.ndarray:
-    """(N, m) block means of ``seg`` over every row of ``z``, the one definition behind :func:`paa`.
+    """Read-only (N, m) block means of ``seg`` over every row of ``z``, the one definition behind :func:`paa`.
 
     Each block adds its points left to right in index order, then divides
     by w, whatever the number of rows or m.  Rows are gathered in chunks of
@@ -122,12 +132,15 @@ def _block_means(z: np.ndarray, seg: Segmentation) -> np.ndarray:
         for k in range(1, seg.w):
             total += g[:, k]
         total /= seg.w
+    out.flags.writeable = False
     return out
 
 
 def _symbol_matrix(means: np.ndarray, table: AlphabetTable) -> np.ndarray:
-    """:func:`symbolize` of every row of ``means`` at once; int64 symbols, same shape."""
-    return np.searchsorted(table.breakpoints, means, side="left").astype(np.int64)
+    """:func:`symbolize` of every row of ``means`` at once; read-only int64 symbols, same shape."""
+    symbols = np.searchsorted(table.breakpoints, means, side="left").astype(np.int64)
+    symbols.flags.writeable = False
+    return symbols
 
 
 def _symbol_matrices(means: np.ndarray, tables: Sequence[AlphabetTable]) -> Iterator[np.ndarray]:
@@ -222,27 +235,27 @@ def gaussian_quantile(p: float) -> float:
 class AlphabetTable:
     """Breakpoints and the precomputed symbol-pair distance lookup.
 
-    ``breakpoints`` holds the ``alphabet_size - 1`` interval boundaries in
-    increasing order.  ``pair_dist[i, j]`` is the distance charged for
-    symbols ``i`` and ``j``: zero when they are equal or adjacent, and the
-    gap between the breakpoints just inside them otherwise.  Construction
-    enforces the structural invariants (shapes, ordering, symmetry, the
-    zero band next to the diagonal) so any instance can be used safely;
-    tables built by :func:`make_alphabet_table` additionally satisfy the
-    Gaussian equal-probability layout.
+    ``AlphabetTable(breakpoints, pair_dist)``.  ``breakpoints`` holds the
+    interval boundaries in increasing order; construction sets
+    ``alphabet_size`` to their count plus one.  ``pair_dist[i, j]`` is the
+    distance charged for symbols ``i`` and ``j``: zero when they are equal
+    or adjacent, and the gap between the breakpoints just inside them
+    otherwise.  Construction enforces the structural invariants (shapes,
+    ordering, symmetry, the zero band next to the diagonal) so any
+    instance can be used safely; tables built by
+    :func:`make_alphabet_table` additionally satisfy the Gaussian
+    equal-probability layout.  Both arrays are read-only (see ``_read_only``).
     """
 
-    alphabet_size: int
     breakpoints: np.ndarray
     pair_dist: np.ndarray
+    alphabet_size: int = field(init=False)
 
     def __post_init__(self) -> None:
-        alpha = _alphabet_size(self.alphabet_size)
         bp = np.asarray(self.breakpoints, dtype=np.float64)
-        if bp.shape != (alpha - 1,):
-            raise ValueError(f"expected {alpha - 1} breakpoints, got shape {bp.shape}")
-        if not np.isfinite(bp).all() or (np.diff(bp) <= 0).any():
-            raise ValueError("breakpoints must be finite and strictly increasing")
+        if bp.ndim != 1 or not np.isfinite(bp).all() or (np.diff(bp) <= 0).any():
+            raise ValueError("breakpoints must be one-dimensional, finite and strictly increasing")
+        alpha = _alphabet_size(bp.size + 1)
         pd = np.asarray(self.pair_dist, dtype=np.float64)
         if pd.shape != (alpha, alpha):
             raise ValueError(f"pair_dist must be {alpha}x{alpha}, got {pd.shape}")
@@ -252,11 +265,9 @@ class AlphabetTable:
         near = np.abs(idx[:, None] - idx[None, :]) <= 1
         if pd[near].any():
             raise ValueError("pair_dist must be zero for equal and adjacent symbols")
-        for arr in (bp, pd):
-            arr.flags.writeable = False
         object.__setattr__(self, "alphabet_size", alpha)
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "pair_dist", pd)
+        object.__setattr__(self, "breakpoints", _read_only(bp, self.breakpoints))
+        object.__setattr__(self, "pair_dist", _read_only(pd, self.pair_dist))
 
 
 @lru_cache(maxsize=MAX_ALPHABET)
@@ -276,7 +287,8 @@ def _build_table(alpha: int) -> AlphabetTable:
     apart = hi - lo > 1
     pair = np.zeros((alpha, alpha), dtype=np.float64)
     pair[apart] = bp[hi[apart] - 1] - bp[lo[apart]]
-    return AlphabetTable(alpha, bp, pair)
+    bp.flags.writeable = pair.flags.writeable = False
+    return AlphabetTable(bp, pair)
 
 
 def make_alphabet_table(alphabet_size: int) -> AlphabetTable:
@@ -295,21 +307,18 @@ class PaaVector:
 
     ``source_length`` is the number of source points covered by the
     segmentation (``m * w``); it feeds the length compensation factor of
-    the word distance.
+    the word distance.  ``means`` is read-only (see ``_read_only``).
     """
 
     means: np.ndarray
     source_length: int
+    m: int = field(init=False)
 
     def __post_init__(self) -> None:
         means = _as_series(self.means, "means")
         object.__setattr__(self, "source_length", _source_length(self.source_length, means.size))
-        means.flags.writeable = False
-        object.__setattr__(self, "means", means)
-
-    @property
-    def m(self) -> int:
-        return self.means.size
+        object.__setattr__(self, "means", _read_only(means, self.means))
+        object.__setattr__(self, "m", means.size)
 
 
 def paa(values, seg: Segmentation) -> PaaVector:
@@ -329,11 +338,12 @@ def paa(values, seg: Segmentation) -> PaaVector:
 
 @dataclass(frozen=True, eq=False)
 class SaxWord:
-    """A series reduced to symbol indices, one per block."""
+    """A series reduced to symbol indices, one per block; ``symbols`` is read-only (see ``_read_only``)."""
 
     symbols: np.ndarray
     alphabet_size: int
     source_length: int
+    m: int = field(init=False)
 
     def __post_init__(self) -> None:
         syms = _as_integers(self.symbols, "symbols")
@@ -343,12 +353,8 @@ class SaxWord:
         if (syms < 0).any() or (syms >= self.alphabet_size).any():
             raise ValueError("symbol indices must lie in [0, alphabet_size)")
         object.__setattr__(self, "source_length", _source_length(self.source_length, syms.size))
-        syms.flags.writeable = False
-        object.__setattr__(self, "symbols", syms)
-
-    @property
-    def m(self) -> int:
-        return self.symbols.size
+        object.__setattr__(self, "symbols", _read_only(syms, self.symbols))
+        object.__setattr__(self, "m", syms.size)
 
     def to_letters(self) -> str:
         """Render as lowercase letters, 'a' for symbol 0."""

@@ -99,6 +99,7 @@ def _load_fast(path: Path) -> LabeledDataset:
     # finite first: an infinite label would warn in the subtraction
     if not np.isfinite(table).all() or (np.abs(table[:, 0] - labels) > 1e-6).any():
         raise ValueError("outside the checked subset of the grammar")
+    table.flags.writeable = False  # the dataset keeps a view of it, not a copy
     return LabeledDataset(table[:, 1:], labels)
 
 
@@ -136,7 +137,7 @@ def _load_lines(path: Path) -> LabeledDataset:
         rows.append(values)
     if not rows:
         raise UcrFormatError(path, None, "file contains no instances")
-    return LabeledDataset(np.stack(rows), np.array(labels, dtype=np.int64))
+    return LabeledDataset(rows, labels)
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,7 +11,7 @@ operation for auditing a configuration on concrete data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -77,12 +77,21 @@ def mindist(s: SaxWord, t: SaxWord, table: AlphabetTable) -> float:
 
 @dataclass(frozen=True)
 class LowerBoundReport:
-    """Outcome of one lower-bound audit on a concrete pair."""
+    """Outcome of one lower-bound audit on a concrete pair.
+
+    ``LowerBoundReport(mindist, euclidean)``.  Construction sets ``holds``,
+    whether ``mindist <= euclidean + LOWER_BOUND_TOLERANCE``, and
+    ``slack``, the remaining gap ``euclidean - mindist``.
+    """
 
     mindist: float
     euclidean: float
-    holds: bool
-    slack: float
+    holds: bool = field(init=False)
+    slack: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "holds", self.mindist <= self.euclidean + LOWER_BOUND_TOLERANCE)
+        object.__setattr__(self, "slack", self.euclidean - self.mindist)
 
 
 def verify_lower_bound(
@@ -95,18 +104,11 @@ def verify_lower_bound(
     """Check the word distance against the raw Euclidean distance for one pair.
 
     Intended for z-normalized equal-length inputs; both series go through
-    the same segmentation and alphabet.  ``holds`` reports whether
-    ``mindist <= euclidean + 1e-9``; ``slack`` is the remaining gap.
+    the same segmentation and alphabet.
     """
     ed = euclidean(s, t)  # checks the pair first
     seg = segment(scheme, len(s), m)
     table = make_alphabet_table(alphabet_size)
     # the pair as two rows: the same block means, symbols and distance as words of s and t
     rows = _symbol_matrix(_block_means(np.stack([_as_series(s), _as_series(t)]), seg), table)
-    md = _word_distance(rows[0], rows[1], table, seg.n_effective)
-    return LowerBoundReport(
-        mindist=md,
-        euclidean=ed,
-        holds=md <= ed + LOWER_BOUND_TOLERANCE,
-        slack=ed - md,
-    )
+    return LowerBoundReport(_word_distance(rows[0], rows[1], table, seg.n_effective), ed)

@@ -31,7 +31,7 @@ contiguous averaging erases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -52,37 +52,34 @@ def _check_scheme(scheme: str) -> None:
 class Segmentation:
     """An exact partition of ``{0, ..., n_effective - 1}`` into equal blocks.
 
-    ``blocks`` is an ``(m, w)`` integer array; each row holds the sorted
-    source indices averaged into one coefficient.  Rows are canonicalized
-    to ascending order on construction and the partition property is
-    enforced, so a constructed instance is always safe to feed to the
-    aggregation and distance routines.
+    ``Segmentation(scheme, blocks)``.  ``blocks`` is an ``(m, w)`` integer
+    array; each row holds the sorted source indices averaged into one
+    coefficient.  Its shape sets the attributes ``m``, ``w`` and
+    ``n_effective = m * w`` on construction.  Rows are canonicalized to
+    ascending order and the partition property is enforced, so a
+    constructed instance is always safe to feed to the aggregation and
+    distance routines.
     """
 
     scheme: str
-    n_effective: int
-    m: int
     blocks: np.ndarray
+    m: int = field(init=False)
+    w: int = field(init=False)
+    n_effective: int = field(init=False)
 
     def __post_init__(self) -> None:
         _check_scheme(self.scheme)
-        if self.m < 1 or self.n_effective < 1 or self.n_effective % self.m:
-            raise ValueError(
-                f"n_effective={self.n_effective} is not a positive multiple of m={self.m}"
-            )
-        blocks = np.sort(np.asarray(self.blocks, dtype=np.int64), axis=1)
-        w = self.n_effective // self.m
-        if blocks.shape != (self.m, w):
-            raise ValueError(f"blocks must have shape {(self.m, w)}, got {blocks.shape}")
-        if not np.array_equal(np.sort(blocks, axis=None), np.arange(self.n_effective)):
+        blocks = np.asarray(self.blocks, dtype=np.int64)
+        if blocks.ndim != 2 or blocks.size == 0:
+            raise ValueError(f"blocks must be a non-empty (m, w) array, got shape {blocks.shape}")
+        blocks = np.sort(blocks, axis=1)
+        if not np.array_equal(np.sort(blocks, axis=None), np.arange(blocks.size)):
             raise ValueError("blocks do not partition the index range exactly")
         blocks.flags.writeable = False
         object.__setattr__(self, "blocks", blocks)
-
-    @property
-    def w(self) -> int:
-        """Indices per block."""
-        return self.n_effective // self.m
+        object.__setattr__(self, "m", blocks.shape[0])
+        object.__setattr__(self, "w", blocks.shape[1])
+        object.__setattr__(self, "n_effective", blocks.size)
 
 
 # run length in which the paired schemes deal a block pair's span
@@ -103,7 +100,7 @@ def _build(scheme: str, n: int, m: int) -> Segmentation:
         dealt = np.argsort(owner, kind="stable").reshape(2, w)
         paired = m // 2 * 2
         blocks[:paired] = (blocks[:paired:2, :1, None] + dealt).reshape(paired, w)
-    return Segmentation(scheme, m * w, m, blocks)
+    return Segmentation(scheme, blocks)
 
 
 def segment(scheme: str, n: int, m: int) -> Segmentation:

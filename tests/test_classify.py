@@ -187,7 +187,7 @@ class TestTuneAlphabet:
     def test_model_stores_given_words_as_read_only_rows(self):
         table = make_alphabet_table(4)
         words = ((word_of([0, 1, 2, 3], 4, 16), 1), (word_of([3, 2, 1, 0], 4, 16), 2))
-        model = TunedModel("classic", 4, 4, words, table)
+        model = TunedModel("classic", words, table)
         assert len(model.train_words) == 2
         assert [(w.symbols.tolist(), label) for w, label in model.train_words[::-1]] == [
             ([3, 2, 1, 0], 2), ([0, 1, 2, 3], 1)
@@ -197,31 +197,25 @@ class TestTuneAlphabet:
             model.train_words.rows[0, 0] = 1
         for odd in (word_of([0, 1, 2], 4, 12), word_of([0, 1, 2, 3], 5, 16), word_of([0, 1, 2, 3], 4, 20)):
             with pytest.raises(ValueError):
-                TunedModel("classic", 4, 4, words + ((odd, 3),), table)
+                TunedModel("classic", words + ((odd, 3),), table)
         with pytest.raises(ValueError):
-            TunedModel("classic", 4, 4, (), table)
+            TunedModel("classic", (), table)
 
-    @pytest.mark.parametrize("scheme, m, alphabet_size, message", [
-        ("classic", 7, 4, "m=7 but the training words have m=4"),
-        ("classic", 4, 9, "alphabet_size=9 but table has 4"),
-        ("classic", 7, 9, "m=7 but the training words have m=4"),
-        ("nonsense", 4, 4, "unknown scheme 'nonsense'"),
-    ])
-    def test_model_rejects_values_its_data_contradicts(self, scheme, m, alphabet_size, message):
+    def test_model_rejects_an_unknown_scheme(self):
         table = make_alphabet_table(4)
         words = ((word_of([0, 1, 2, 3], 4, 16), 1), (word_of([3, 2, 1, 0], 4, 16), 2))
-        with pytest.raises(ValueError, match=message):
-            TunedModel(scheme, m, alphabet_size, words, table)
+        with pytest.raises(ValueError, match="unknown scheme 'nonsense'"):
+            TunedModel("nonsense", words, table)
         tuned = tune_alphabet(random_dataset(np.random.default_rng(5), 6, 16), "classic", 4, [4])
-        with pytest.raises(ValueError, match=message):
-            TunedModel(scheme, m, alphabet_size, tuned.train_words, tuned.table)
+        with pytest.raises(ValueError, match="unknown scheme 'nonsense'"):
+            TunedModel("nonsense", tuned.train_words, tuned.table)
 
     def test_model_rejects_words_that_do_not_fit_its_table(self):
         tuned = tune_alphabet(random_dataset(np.random.default_rng(5), 6, 16), "classic", 8, [3])
         # the stored rows and the same words as pairs fail alike
         for words in (tuned.train_words, tuple(tuned.train_words)):
             with pytest.raises(ValueError, match="^alphabet sizes differ: words 3/3, table 9$"):
-                TunedModel("classic", 8, 9, words, make_alphabet_table(9))
+                TunedModel("classic", words, make_alphabet_table(9))
 
     def test_rejects_bad_range(self):
         rng = np.random.default_rng(89)
@@ -301,6 +295,11 @@ class TestLabeledDataset:
         with pytest.raises(ValueError):
             LabeledDataset(np.array([[1.0, 2.0]]), np.array([1, 2]))
 
+    @pytest.mark.parametrize("shape", [(0, 3), (2, 0), (3,)])
+    def test_rejects_an_empty_or_flat_table(self, shape):
+        with pytest.raises(ValueError, match=r"^series must be a non-empty \(N, n\) array$"):
+            LabeledDataset(np.zeros(shape), np.ones(shape[0]))
+
     @pytest.mark.parametrize("labels", [[1.5, 2.7], [1.0, 1e30], [1.0, np.nan]])
     def test_rejects_labels_a_cast_would_change(self, labels):
         series = [[1.0, 2.0], [3.0, 4.0]]
@@ -353,7 +352,7 @@ class TestLabeledDataset:
 
 
 def scaled_table(table: AlphabetTable, factor: float) -> AlphabetTable:
-    return AlphabetTable(table.alphabet_size, table.breakpoints, table.pair_dist * factor)
+    return AlphabetTable(table.breakpoints, table.pair_dist * factor)
 
 
 @pytest.mark.properties

@@ -6,8 +6,10 @@ import sys
 
 import pytest
 
+from trendsax import cli
 from trendsax.benchmark import read_report_csv
 from trendsax.cli import _parse_alphabet_range, build_parser, main
+from trendsax.distance import LowerBoundReport
 from trendsax.segmentation import SCHEMES
 
 
@@ -165,6 +167,16 @@ class TestVerifyBound:
         assert code == 1
         assert "unknown scheme" in err
 
+    def test_a_violation_is_reported_and_fails(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "verify_lower_bound", lambda *args: LowerBoundReport(2.0, 1.0))
+        code, out, err = run_cli(
+            ["verify-bound", "--scheme", "classic", "--pairs", "3", "--length", "8"], capsys
+        )
+        assert code == 1
+        assert err == ""
+        assert out == ("VIOLATED: 3 checks (3 pairs x 1 schemes), "
+                       "length=8 m=2 alphabet=4 seed=0, min slack=-1\n")
+
     @pytest.mark.parametrize("pairs", ["0", "-5"])
     def test_non_positive_pairs_fail_cleanly(self, pairs, capsys):
         code, out, err = run_cli(["verify-bound", "--pairs", pairs], capsys)
@@ -251,6 +263,20 @@ class TestBenchmark:
         code, out, err = run_cli(["benchmark", str(root), "--alphabet-range", "3:4"], capsys)
         assert code == 0, err
         assert {r["dataset"] for r in read_report_csv(out)} == {"Coffee"}
+
+    def test_missing_directory_fails_before_any_work(self, tmp_path, capsys):
+        missing = tmp_path / "absent"
+        code, out, err = run_cli(["benchmark", str(missing)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: dataset directory {missing} does not exist\n"
+
+    def test_directory_without_series_files_fails(self, tmp_path, capsys):
+        (tmp_path / "empty").mkdir()
+        code, out, err = run_cli(["benchmark", str(tmp_path)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {tmp_path}: no *_TRAIN file here or in any subdirectory\n"
 
     def test_explicit_directory_and_out_file(self, mini_dir, tmp_path, capsys):
         target = tmp_path / "report.csv"

@@ -133,23 +133,22 @@ class TestMakeAlphabetTable:
             make_alphabet_table(4.9)
         assert make_alphabet_table(4.0) is make_alphabet_table(4)
 
-    def test_table_rejects_a_fractional_size(self):
-        good = make_alphabet_table(3)
-        with pytest.raises(ValueError, match="alphabet size must be integral"):
-            AlphabetTable(3.5, good.breakpoints, good.pair_dist)
-
     def test_structural_validation(self):
         good = make_alphabet_table(3)
         with pytest.raises(ValueError):
-            AlphabetTable(3, good.breakpoints[::-1], good.pair_dist)
+            AlphabetTable(good.breakpoints[::-1], good.pair_dist)
         with pytest.raises(ValueError):
-            AlphabetTable(3, good.breakpoints, good.pair_dist + np.eye(3))
+            AlphabetTable(good.breakpoints, good.pair_dist + np.eye(3))
         asym = good.pair_dist.copy()
         asym[0, 2] = 9.0
         with pytest.raises(ValueError):
-            AlphabetTable(3, good.breakpoints, asym)
+            AlphabetTable(good.breakpoints, asym)
         with pytest.raises(ValueError):
-            AlphabetTable(3, good.breakpoints[:1], good.pair_dist)
+            AlphabetTable(good.breakpoints[:1], good.pair_dist)
+        with pytest.raises(ValueError, match="^breakpoints must be one-dimensional"):
+            AlphabetTable(good.breakpoints[None], good.pair_dist)
+        with pytest.raises(ValueError, match=r"^pair_dist must be 3x3, got \(2, 2\)$"):
+            AlphabetTable(good.breakpoints, good.pair_dist[:2, :2])
 
     def test_results_are_immutable(self):
         table = make_alphabet_table(4)
@@ -291,6 +290,11 @@ class TestSymbolize:
         with pytest.raises(ValueError):
             SaxWord(np.array([0, 1]), 3, 7)  # 7 not a multiple of 2
 
+    def test_word_rejects_empty_symbols(self):
+        for symbols in ([], np.zeros((1, 2), dtype=np.int64)):
+            with pytest.raises(ValueError, match="^symbols must be a non-empty one-dimensional sequence$"):
+                SaxWord(symbols, 3, 4)
+
     def test_word_rejects_a_fractional_alphabet_size(self):
         with pytest.raises(ValueError, match="alphabet size must be integral"):
             SaxWord([0, 2], 3.5, 4)
@@ -299,7 +303,7 @@ class TestSymbolize:
         good = make_alphabet_table(3)
         word = SaxWord([0, 2], 3.0, 4.0)
         sizes = [word.alphabet_size, word.source_length, PaaVector([0.1, 0.2], 4.0).source_length,
-                 AlphabetTable(3.0, good.breakpoints, good.pair_dist).alphabet_size]
+                 AlphabetTable(good.breakpoints, good.pair_dist).alphabet_size]
         assert sizes == [3, 4, 4, 3]
         assert [type(size) for size in sizes] == [int] * 4
 
@@ -339,7 +343,7 @@ def test_paa_permutation_invariant_within_blocks(config, rnd):
     shuffled = seg.blocks.copy()
     for row in shuffled:
         rnd.shuffle(row)
-    reordered = Segmentation(seg.scheme, seg.n_effective, seg.m, shuffled)
+    reordered = Segmentation(seg.scheme, shuffled)
     x = np.linspace(-2.0, 2.0, n) ** 3
     np.testing.assert_array_equal(paa(x, seg).means, paa(x, reordered).means)
 

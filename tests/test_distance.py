@@ -163,7 +163,7 @@ class TestKernelAtScale:
         d2 = _dist_sq(b[:, None], a[None], table.pair_dist**2)
         tied = (d2 == d2.min(axis=1, keepdims=True)).sum(axis=1) > 1
         assert tied.mean() > 0.3  # the first-index rule decides many queries
-        model = TunedModel("classic", 64, 3, [(word_of(r, 3, 256), int(l)) for r, l in zip(a, labels)], table)
+        model = TunedModel("classic", [(word_of(r, 3, 256), int(l)) for r, l in zip(a, labels)], table)
         words = list(model.train_words)
         for query in b:
             want = oracles.nn1(query.tolist(), a.tolist(), labels.tolist(), ref_table)

@@ -88,12 +88,20 @@ class TestPolicies:
 
 class TestSegmentationType:
     def test_rejects_non_partition(self):
+        with pytest.raises(ValueError, match="do not partition"):
+            Segmentation("classic", np.array([[0, 1], [1, 2]]))
+        with pytest.raises(ValueError, match="do not partition"):
+            Segmentation("classic", np.array([[0, 1], [2, 4]]))
+        for blocks in ([0, 1, 2, 3], np.empty((0, 2)), np.empty((2, 0)), np.arange(4).reshape(1, 2, 2)):
+            with pytest.raises(ValueError, match="blocks must be a non-empty"):
+                Segmentation("classic", blocks)
         with pytest.raises(ValueError):
-            Segmentation("classic", 4, 2, np.array([[0, 1], [1, 2]]))
-        with pytest.raises(ValueError):
-            Segmentation("classic", 4, 2, np.array([[0, 1, 2, 3]]))
-        with pytest.raises(ValueError):
-            Segmentation("waves", 4, 2, np.array([[0, 1], [2, 3]]))
+            Segmentation("waves", np.array([[0, 1], [2, 3]]))
+
+    def test_sizes_come_from_the_blocks(self):
+        seg = Segmentation("classic", np.array([[0, 1, 2, 3]]))  # one block of four
+        assert (seg.m, seg.w, seg.n_effective) == (1, 4, 4)
+        assert [type(seg.m), type(seg.n_effective)] == [int, int]
 
     def test_blocks_are_immutable(self):
         seg = segment("split", 16, 4)
@@ -101,7 +109,7 @@ class TestSegmentationType:
             seg.blocks[0, 0] = 9
 
     def test_rows_canonicalized_ascending(self):
-        seg = Segmentation("classic", 4, 2, np.array([[1, 0], [3, 2]]))
+        seg = Segmentation("classic", np.array([[1, 0], [3, 2]]))
         assert seg.blocks.tolist() == [[0, 1], [2, 3]]
 
 
@@ -109,9 +117,10 @@ def test_matches_reference_construction_on_grid():
     for scheme in SCHEMES:
         for n in range(1, 65):
             for m in range(1, n + 1):
-                got = segment(scheme, n, m).blocks
+                seg = segment(scheme, n, m)
                 expected = [sorted(b) for b in oracles.segment_blocks(scheme, n, m)]
-                assert got.tolist() == expected, (scheme, n, m)
+                assert seg.blocks.tolist() == expected, (scheme, n, m)
+                assert (seg.m, seg.w, seg.n_effective) == (m, n // m, m * (n // m)), (scheme, n, m)
 
 
 # ----------------------------------------------------------------- properties
