@@ -20,7 +20,6 @@ from trendsax.benchmark import (
 from trendsax.classify import (
     DEFAULT_ALPHABET_RANGE,
     EvaluationReport,
-    LabeledDataset,
     TunedModel,
     evaluate,
     loocv_error,
@@ -38,7 +37,7 @@ from trendsax.core import (
     symbolize,
     znormalize,
 )
-from trendsax.dataset import DatasetPair, UcrFormatError, load_dataset_pair, load_ucr
+from trendsax.dataset import DatasetPair, LabeledDataset, UcrFormatError, load_dataset_pair, load_ucr
 from trendsax.distance import (
     LOWER_BOUND_TOLERANCE,
     LowerBoundReport,

@@ -54,8 +54,9 @@ _CSV_TYPES = (str, str, *(parse for _, _, parse in _REPORT_FIELDS), "true".__eq_
 class BenchmarkConfig:
     """Settings shared by every dataset in a run.
 
-    ``word_count`` fixes the word length for all datasets; when None the
-    length is ``max(1, n // ratio)`` per dataset.
+    ``schemes`` is stored as a tuple and ``alphabet_range`` as its sorted,
+    distinct sizes.  ``word_count`` fixes the word length for all datasets;
+    when None the length is ``max(1, n // ratio)`` per dataset.
     """
 
     schemes: tuple[str, ...] = SCHEMES
@@ -65,13 +66,14 @@ class BenchmarkConfig:
     jobs: int = 1
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "schemes", tuple(self.schemes))
         for scheme in self.schemes:
             _check_scheme(scheme)
         if not self.schemes:
             raise ValueError("at least one scheme is required")
         if len(set(self.schemes)) != len(self.schemes):
             raise ValueError(f"schemes must be distinct, got {', '.join(self.schemes)}")
-        _normalized_alphabet_range(self.alphabet_range)
+        object.__setattr__(self, "alphabet_range", tuple(_normalized_alphabet_range(self.alphabet_range)))
         for name in ("word_count", "ratio", "jobs"):
             count = getattr(self, name)
             if count is not None:

@@ -30,7 +30,7 @@ from trendsax.benchmark import (
 )
 from trendsax.classify import DEFAULT_ALPHABET_RANGE
 from trendsax.core import SaxWord, _block_means, _symbol_matrix, make_alphabet_table
-from trendsax.dataset import _split_files, load_dataset_pair, load_ucr
+from trendsax.dataset import _discover_datasets, load_dataset_pair, load_ucr
 from trendsax.distance import verify_lower_bound
 from trendsax.segmentation import SCHEMES, segment
 
@@ -51,8 +51,12 @@ def _parse_alphabet_range(text: str) -> tuple[int, ...]:
 
 
 def _add_common_flags(parser: argparse.ArgumentParser, schemes_default: str = "classic") -> None:
-    parser.add_argument("--scheme", default=schemes_default,
-                        help=f"segmentation scheme: {', '.join(SCHEMES)}, or 'all'")
+    # a command that defaults to every scheme runs each one, so only it takes a list
+    if schemes_default == "all":
+        scheme_help = f"segmentation schemes: 'all' or a comma-separated list of {', '.join(SCHEMES)}"
+    else:
+        scheme_help = f"segmentation scheme: one of {', '.join(SCHEMES)}"
+    parser.add_argument("--scheme", default=schemes_default, help=scheme_help)
     group = parser.add_mutually_exclusive_group()
     group.add_argument("--word-count", type=int, metavar="M",
                        help="fixed number of word symbols")
@@ -147,23 +151,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         text = "".join(f"{key}: {value}\n" for key, value in record.items())
     _write_output(text, args.out)
     return 0
-
-
-def _discover_datasets(paths: list[str]) -> list[Path]:
-    """Each path that holds a *_TRAIN series file, else its subdirectories that do."""
-    datasets = []
-    for raw in paths:
-        root = Path(raw)
-        if not root.is_dir():
-            raise FileNotFoundError(f"dataset directory {root} does not exist")
-        if _split_files(root, "TRAIN"):
-            datasets.append(root)
-            continue
-        children = sorted(p for p in root.iterdir() if p.is_dir() and _split_files(p, "TRAIN"))
-        if not children:
-            raise FileNotFoundError(f"{root}: no *_TRAIN file here or in any subdirectory")
-        datasets.extend(children)
-    return datasets
 
 
 def _cmd_benchmark(args: argparse.Namespace) -> int:

@@ -138,7 +138,7 @@ def _block_means(z: np.ndarray, seg: Segmentation) -> np.ndarray:
 
 def _symbol_matrix(means: np.ndarray, table: AlphabetTable) -> np.ndarray:
     """:func:`symbolize` of every row of ``means`` at once; read-only int64 symbols, same shape."""
-    symbols = np.searchsorted(table.breakpoints, means, side="left").astype(np.int64)
+    symbols = np.searchsorted(table.breakpoints, means, side="left").astype(np.int64, copy=False)
     symbols.flags.writeable = False
     return symbols
 

@@ -1,9 +1,10 @@
-"""Loading labeled series files in the UCR text layout.
+"""Labeled series: the record, loading files in the UCR text layout, finding datasets.
 
-One instance per line: an integer class label followed by the series
-values, separated by commas or tabs (detected per file).  All rows in a
-file must have the same number of values.  Labels written as reals are
-accepted when they are within 1e-6 of an integer.
+``LabeledDataset`` holds uniform-length series and their integer labels.
+A file has one instance per line: an integer class label followed by
+the series values, separated by commas or tabs (detected per file).  All
+rows in a file must have the same number of values.  Labels written as
+reals are accepted when they are within 1e-6 of an integer.
 
 A file is parsed twice at most.  numpy's C reader goes first, and its
 array is kept only when the file holds none of U+000B, U+000C, U+001C to
@@ -13,20 +14,26 @@ bits, and it gives at least one row of a label and a value.  Otherwise,
 or when the C reader refuses the file, the line parser reads it again:
 it defines the grammar, and it names the first offending line.  Where
 both accept a file they give equal arrays.
+
+A dataset directory holds one ``*_TRAIN*`` and one ``*_TEST*`` series
+file; ``_discover_datasets`` finds such directories, or their children.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from trendsax.classify import LabeledDataset
+from trendsax import core
+from trendsax.core import _as_integers, _read_only
 
-__all__ = ["DatasetPair", "UcrFormatError", "load_dataset_pair", "load_ucr"]
+__all__ = ["DatasetPair", "LabeledDataset", "UcrFormatError", "load_dataset_pair", "load_ucr"]
 
 _SERIES_SUFFIXES = {"", ".txt", ".tsv", ".csv"}
 
@@ -34,6 +41,48 @@ _SERIES_SUFFIXES = {"", ".txt", ".tsv", ".csv"}
 # from the edges of a field, while str.splitlines ends a line at each but
 # "\x1f", which float() refuses ("\r" is a newline once read in text mode)
 _LINE_PARSER_CHARS = "\v\f\x1c\x1d\x1e\x1f\x85\u2028\u2029"
+
+
+@dataclass(frozen=True, eq=False)
+class LabeledDataset:
+    """Uniform-length labeled series: ``series`` is (N, n), ``labels`` is (N,), both read-only."""
+
+    series: np.ndarray
+    labels: np.ndarray
+
+    def __post_init__(self) -> None:
+        series = np.asarray(self.series, dtype=np.float64)
+        labels = _as_integers(self.labels, "labels")
+        if series.ndim != 2 or series.shape[0] == 0 or series.shape[1] == 0:
+            raise ValueError("series must be a non-empty (N, n) array")
+        if not np.isfinite(series).all():
+            raise ValueError("series contain non-finite values")
+        if labels.shape != (series.shape[0],):
+            raise ValueError("labels must be one integer per series")
+        object.__setattr__(self, "series", _read_only(series, self.series))
+        object.__setattr__(self, "labels", _read_only(labels, self.labels))
+
+    @classmethod
+    def from_instances(cls, instances: Iterable[tuple[Sequence[float], int]]) -> "LabeledDataset":
+        pairs = list(instances)
+        if not pairs:
+            raise ValueError("dataset must contain at least one instance")
+        return cls([s for s, _ in pairs], [label for _, label in pairs])
+
+    def __len__(self) -> int:
+        return self.series.shape[0]
+
+    @property
+    def n(self) -> int:
+        """Series length."""
+        return self.series.shape[1]
+
+    @cached_property
+    def _zrows(self) -> np.ndarray:
+        """The z-normalized rows, computed once on first use and shared by every scheme."""
+        z = core._znormalize_rows(self.series)
+        z.flags.writeable = False
+        return z
 
 
 class UcrFormatError(ValueError):
@@ -167,6 +216,23 @@ def _split_files(directory: Path, split: str) -> list[Path]:
         p for p in directory.glob(f"*_{split}*")
         if p.is_file() and p.suffix in _SERIES_SUFFIXES
     )
+
+
+def _discover_datasets(paths: list[str]) -> list[Path]:
+    """Each path that holds a *_TRAIN series file, else its subdirectories that do."""
+    datasets = []
+    for raw in paths:
+        root = Path(raw)
+        if not root.is_dir():
+            raise FileNotFoundError(f"dataset directory {root} does not exist")
+        if _split_files(root, "TRAIN"):
+            datasets.append(root)
+            continue
+        children = sorted(p for p in root.iterdir() if p.is_dir() and _split_files(p, "TRAIN"))
+        if not children:
+            raise FileNotFoundError(f"{root}: no *_TRAIN file here or in any subdirectory")
+        datasets.extend(children)
+    return datasets
 
 
 def _find_split(directory: Path, suffix: str) -> Path:

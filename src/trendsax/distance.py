@@ -5,7 +5,9 @@ over aligned symbols.  For words produced by any exact-partition
 segmentation of z-normalized series it never exceeds the Euclidean
 distance between the raw series, so pruning with it cannot cause false
 dismissals.  ``verify_lower_bound`` packages that check as a library
-operation for auditing a configuration on concrete data.
+operation for auditing a configuration on concrete data.  ``_nearest``,
+the float32 filter behind leave-one-out and test scoring, sits beside
+``_dist_sq``, the exact sum whose order its error bound assumes.
 """
 
 from __future__ import annotations
@@ -23,6 +25,9 @@ __all__ = ["LOWER_BOUND_TOLERANCE", "LowerBoundReport", "euclidean", "mindist", 
 
 # absorbs floating-point accumulation; the bound is exact in real arithmetic
 LOWER_BOUND_TOLERANCE = 1e-9
+
+# values held at once per row chunk of 1NN scoring; see ``_nearest``
+_CHUNK_BUDGET = 2**18
 
 
 def euclidean(s, t) -> float:
@@ -45,6 +50,77 @@ def _dist_sq(a: np.ndarray, b: np.ndarray, sq_pair: np.ndarray) -> np.ndarray:
     give the broadcast shape without the last axis.
     """
     return np.cumsum(sq_pair.ravel()[a * sq_pair.shape[0] + b], axis=-1)[..., -1]
+
+
+def _gamma(n: int, unit: float) -> float:
+    """Higham's gamma_n = n·u / (1 − n·u): the relative error of n roundings."""
+    return n * unit / (1 - n * unit)
+
+
+def _nearest(a: np.ndarray, b: np.ndarray, sq_pair: np.ndarray, leave_one_out: bool = False) -> np.ndarray:
+    """Index of each ``a`` row's nearest ``b`` row by ``_dist_sq``, ties to the first index.
+
+    Filter and refine (GEMINI, Faloutsos et al., SIGMOD 1994).  The filter
+    scores a row chunk against every ``b`` row in one float32 matrix
+    product ``P = E @ H.T``: ``E[i, k·α + t] = sq_pair[a_ik, t]`` and ``H``
+    is the one-hot of ``b``, so ``P[i, j]`` is the sum of the same m
+    entries as ``_dist_sq``.  Every term is non-negative, so (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., §3.1) ``P``
+    lies within gamma_{K+1} (float32 unit, K = m·α: one rounding of each
+    entry to float32 and K additions, in any order) of the real sum, and
+    the exact float64 left-to-right sum within gamma_m (float64 unit).  A
+    column can then hold a row's exact minimum only if its ``P`` is at most
+    ``P_min·(1+γ_m)(1+γ_{K+1})/((1−γ_m)(1−γ_{K+1}))``, rounded up; a row
+    whose ``P_min`` is 0 keeps its exact zeros only.  The bound needs a
+    classical summation: OpenBLAS sgemm adds the products of each element
+    in some order, with no Strassen-like scheme.  Every column that could
+    hold a row's exact minimum is kept, so a row that keeps one column has
+    its exact minimum, and its first-index answer, at its ``P_min``: the
+    bound decides that row.  The refine step writes the ``_dist_sq`` of
+    every other row's kept pairs into a (tied rows, N_b) float64 matrix
+    that starts at +inf, and its ``argmin`` along each row, the first
+    exact minimum, decides them.  ``E`` and ``H`` are gathered with
+    ``np.take`` from the float32 table and identity.  ``leave_one_out``
+    scores ``a`` against itself (``b is a``) without the diagonal.  A row
+    chunk holds about ``_CHUNK_BUDGET`` values of ``E``, of ``P`` and of
+    the refine matrix, and the refine step gathers its pairs in smaller
+    chunks, so memory stays bounded however many rows either side has.
+    Precondition: every nonzero entry of ``sq_pair`` rounds to a normal
+    float32, or the float32 error bound fails.  Only library-built tables
+    come here (their smallest such entry, at α = 26, is 0.00932); ``nn1``
+    takes any ``AlphabetTable``, so it keeps its own exact scan.
+    """
+    alpha, (n_b, m) = sq_pair.shape[0], b.shape
+    width = m * alpha
+    g64, g32 = _gamma(m, 2.0**-53), _gamma(width + 1, 2.0**-24)
+    ratio = np.float64((1 + g64) * (1 + g32) / ((1 - g64) * (1 - g32)))
+    sq32 = sq_pair.astype(np.float32)
+    h = np.take(np.eye(alpha, dtype=np.float32), b, axis=0).reshape(n_b, width)
+    arg = np.empty(a.shape[0], dtype=np.int64)
+    step = max(1, _CHUNK_BUDGET // max(width, n_b))
+    # the refine step holds several int64 and float64 arrays of pairs x m values
+    pairs = max(1, _CHUNK_BUDGET // (8 * m))
+    for i0 in range(0, a.shape[0], step):
+        i1 = min(i0 + step, a.shape[0])
+        chunk = np.arange(i1 - i0)
+        p = np.take(sq32, a[i0:i1], axis=0).reshape(i1 - i0, width) @ h.T
+        if leave_one_out:
+            p[chunk, chunk + i0] = np.inf
+        first = p.argmin(axis=1)
+        # rounding the float64 product to float32 and then one step up lands above the real limit
+        limit = (p[chunk, first] * ratio).astype(np.float32)[:, None]
+        np.nextafter(limit, np.float32(np.inf), out=limit, where=limit > 0)
+        keep = p <= limit
+        # a row that keeps one column has its exact minimum there, at its P_min
+        arg[i0:i1] = first
+        tied = np.flatnonzero(np.count_nonzero(keep, axis=1) > 1)
+        rows, cols = np.nonzero(keep[tied])
+        d2 = np.full((tied.size, n_b), np.inf)
+        for k0 in range(0, rows.size, pairs):
+            k = slice(k0, k0 + pairs)
+            d2[rows[k], cols[k]] = _dist_sq(a[i0 + tied[rows[k]]], b[cols[k]], sq_pair)
+        arg[i0 + tied] = d2.argmin(axis=1)
+    return arg
 
 
 def _check_compatible(s: SaxWord, t: SaxWord, table: AlphabetTable) -> None:

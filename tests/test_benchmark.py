@@ -77,6 +77,12 @@ class TestConfig:
         assert config.alphabet_range == tuple(range(3, 21))
         assert config.jobs == 1
 
+    def test_stores_canonical_values(self):
+        config = BenchmarkConfig(schemes=(s for s in ["split", "classic"]), alphabet_range=[5, 3, 4, 3])
+        assert (config.schemes, config.alphabet_range) == (("split", "classic"), (3, 4, 5))
+        assert hash(config) == hash(BenchmarkConfig(schemes=("split", "classic"), alphabet_range=range(3, 6)))
+        assert BenchmarkConfig(alphabet_range=(4, 3)) == BenchmarkConfig(alphabet_range=(3, 4))
+
     def test_word_count_override_and_ratio(self):
         assert BenchmarkConfig(word_count=7).word_count_for(100) == 7
         assert BenchmarkConfig(ratio=4).word_count_for(22) == 5

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import shutil
@@ -68,6 +69,16 @@ class TestParsing:
         assert code == 1
         assert out == ""
         assert err == "error: schemes must be distinct, got classic, split, classic\n"
+
+    def test_only_multi_scheme_commands_offer_all_and_lists(self):
+        commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        helps = {name: next(a.help for a in sub._actions if a.dest == "scheme")
+                 for name, sub in commands.choices.items()}
+        names = ", ".join(SCHEMES)
+        for name in ("convert", "evaluate"):
+            assert helps[name] == f"segmentation scheme: one of {names}"
+        for name in ("verify-bound", "benchmark"):
+            assert helps[name] == f"segmentation schemes: 'all' or a comma-separated list of {names}"
 
     def test_word_count_and_ratio_are_exclusive(self):
         with pytest.raises(SystemExit) as exc:

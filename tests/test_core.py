@@ -277,6 +277,18 @@ class TestSymbolize:
             assert rows.dtype == np.int64 and np.array_equal(rows, want), table.alphabet_size
             assert np.array_equal(next(core._symbol_matrices(means, [table])), want)
 
+    def test_symbol_matrix_allocates_its_result_once(self):
+        # a wide-workload test split: the (2345, 256) int64 result is 4.8 MB
+        means = np.random.default_rng(98).standard_normal((2345, 256))
+        table = make_alphabet_table(10)
+        tracemalloc.start()
+        try:
+            symbols = core._symbol_matrix(means, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * symbols.nbytes
+
     def test_word_metadata(self):
         table = make_alphabet_table(5)
         word = symbolize(PaaVector(np.array([0.0, 2.0]), 10), table)

@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 
 import oracles
 import strategies
-from trendsax import classify
-from trendsax.classify import TunedModel, _loocv_from_rows, _nearest, nn1
+from trendsax import distance
+from trendsax.classify import TunedModel, _loocv_from_rows, nn1
 from trendsax.core import PaaVector, SaxWord, make_alphabet_table, paa, symbolize, znormalize
 from trendsax.distance import (
     LOWER_BOUND_TOLERANCE,
     _dist_sq,
+    _nearest,
     euclidean,
     mindist,
     verify_lower_bound,
@@ -175,7 +176,7 @@ class TestKernelAtScale:
     def test_chunks_equal_one_argmin_and_the_oracle(self, monkeypatch, alpha, chunk_rows):
         a, b, labels, table, _ = kernel_case(alpha)  # 150 rows: not a multiple of 7
         sq = table.pair_dist**2
-        monkeypatch.setattr(classify, "_CHUNK_BUDGET", chunk_rows * a.shape[0])
+        monkeypatch.setattr(distance, "_CHUNK_BUDGET", chunk_rows * a.shape[0])
         d2 = _dist_sq(a[:, None], a[None], sq)
         np.fill_diagonal(d2, np.inf)
         assert np.array_equal(_nearest(a, a, sq, leave_one_out=True), np.argmin(d2, axis=1))
@@ -220,14 +221,14 @@ def exact_nearest(queries, rows, sq, leave_one_out=False):
 
 
 def count_scored_pairs(monkeypatch):
-    """Patch ``classify._dist_sq`` to count the pairs it scores; returns the one-item count list."""
+    """Patch ``distance._dist_sq`` to count the pairs it scores; returns the one-item count list."""
     scored = [0]
 
     def counting(a, b, sq):
         scored[0] += math.prod(np.broadcast_shapes(a.shape, b.shape)[:-1])
         return _dist_sq(a, b, sq)
 
-    monkeypatch.setattr(classify, "_dist_sq", counting)
+    monkeypatch.setattr(distance, "_dist_sq", counting)
     return scored
 
 

@@ -5,7 +5,7 @@ import inspect
 import numpy as np
 import pytest
 
-from trendsax import classify, cli, core, dataset
+from trendsax import cli, core, dataset
 from trendsax.benchmark import BenchmarkConfig
 from trendsax.classify import LabeledDataset, TunedModel, tune_alphabet
 from trendsax.core import AlphabetTable, PaaVector, SaxWord, make_alphabet_table, paa, symbolize
@@ -118,7 +118,7 @@ class TestCallerArraysStayWritable:
                 copied.append(x.shape)
             return kept
 
-        for module in (core, classify):
+        for module in (core, dataset):
             monkeypatch.setattr(module, "_read_only", spy)
         path = mini_dir / "Mini_TRAIN.txt"
         data = dataset.load_ucr(path)

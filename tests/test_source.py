@@ -9,6 +9,9 @@ import trendsax
 
 SOURCES = sorted(Path(trendsax.__file__).parent.glob("*.py"))
 
+# the import stack: each module may import only the modules before it
+LAYERS = ("core", "segmentation", "distance", "dataset", "classify", "benchmark", "cli")
+
 
 def unused_imports(source: str) -> list[str]:
     """Names bound by a top-level import and never read, nor listed in ``__all__``."""
@@ -74,3 +77,42 @@ def test_finds_an_unread_private_name():
 
 def test_every_private_name_is_read_in_the_library():
     assert unread_private_names({path.name: path.read_text() for path in SOURCES}) == []
+
+
+def library_imports(source: str) -> set[str]:
+    """The ``trendsax`` modules that ``source`` imports at run time, so not under ``if TYPE_CHECKING:``."""
+    tree = ast.parse(source)
+    hints = {id(node) for block in ast.walk(tree)
+             if isinstance(block, ast.If) and isinstance(block.test, ast.Name) and block.test.id == "TYPE_CHECKING"
+             for statement in block.body for node in ast.walk(statement)}
+    modules = set()
+    for node in ast.walk(tree):
+        if id(node) in hints:
+            continue
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module == "trendsax":
+            names = [f"trendsax.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        modules.update(name.split(".")[1] for name in names if name.startswith("trendsax."))
+    return modules
+
+
+def test_finds_library_imports():
+    source = ("from typing import TYPE_CHECKING\nimport numpy\nimport trendsax.core\nfrom trendsax import dataset\n"
+              "from trendsax.distance import mindist\nif TYPE_CHECKING:\n    from trendsax.cli import main\n"
+              "else:\n    from trendsax.segmentation import segment\n")
+    assert library_imports(source) == {"core", "dataset", "distance", "segmentation"}
+
+
+def test_the_stack_names_every_module():
+    assert {path.stem for path in SOURCES} - {"__init__", "__main__"} == set(LAYERS)
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_each_module_imports_only_the_modules_before_it(layer):
+    source = (Path(trendsax.__file__).parent / f"{layer}.py").read_text()
+    assert library_imports(source) <= set(LAYERS[:LAYERS.index(layer)])
