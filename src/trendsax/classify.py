@@ -5,8 +5,8 @@ error on the training set, then classify every test instance against the
 full training set with that alphabet.  All tie-breaks are deterministic
 (first training index for neighbours, smallest size for alphabets), so a
 given configuration always produces the same report.  The series come in
-as ``dataset.LabeledDataset``; leave-one-out and test scoring find
-neighbours with ``distance._nearest``.
+as ``dataset.LabeledDataset``; ``nn1``, leave-one-out and test scoring
+find neighbours with ``distance._nearest``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from trendsax.core import (MAX_ALPHABET, AlphabetTable, SaxWord, _as_integers, _block_means, _symbol_matrices,
                            _symbol_matrix, make_alphabet_table)
 from trendsax.dataset import LabeledDataset
-from trendsax.distance import _check_compatible, _dist_sq, _nearest
+from trendsax.distance import _check_compatible, _nearest, _one_hot
 from trendsax.segmentation import _check_scheme, segment
 
 __all__ = [
@@ -43,15 +43,24 @@ class _TrainingWords(Sequence):
     Indexing and iteration build ``(SaxWord, label)`` pairs on demand.
     ``m``, ``alphabet_size`` and ``source_length`` hold for every word, so
     ``_check_compatible`` checks a query against all the rows at once as
-    it would against one word.
+    it would against one word.  ``one_hot`` is the rows' float32 one-hot
+    for ``distance._nearest``, built on first use and then kept.
     """
 
-    __slots__ = ("rows", "labels", "alphabet_size", "source_length")
+    __slots__ = ("rows", "labels", "alphabet_size", "source_length", "_hot")
 
     def __init__(self, rows: np.ndarray, labels: np.ndarray, alphabet_size: int, source_length: int) -> None:
         rows.flags.writeable = labels.flags.writeable = False
         self.rows, self.labels = rows, labels
         self.alphabet_size, self.source_length = alphabet_size, source_length
+        self._hot = None
+
+    @property
+    def one_hot(self) -> np.ndarray:
+        if self._hot is None:
+            self._hot = _one_hot(self.rows, self.alphabet_size)
+            self._hot.flags.writeable = False
+        return self._hot
 
     @property
     def m(self) -> int:
@@ -90,9 +99,10 @@ class TunedModel:
     as the training symbol rows (read-only (N, m) int64) and their labels,
     and reads as a sequence of ``(SaxWord, label)`` pairs built on demand.
     ``nn1`` scores those rows as they are, with no stacking and no
-    per-word check.  Rows given here are checked once against ``table``;
-    any other sequence of pairs is checked word by word and stored as rows
-    the same way.  Construction sets ``m`` from the words and
+    per-word check, and with their float32 one-hot (N × m·α values),
+    built on the first ``nn1`` call and kept with the rows.  Rows given
+    here are checked once against ``table``; any other sequence of pairs
+    is checked word by word and stored as rows the same way.  Construction sets ``m`` from the words and
     ``alphabet_size`` from ``table``.
     """
 
@@ -130,13 +140,16 @@ def nn1(query: SaxWord, train_words: Sequence[tuple[SaxWord, int]], table: Alpha
     checked once against ``table`` and scored as they are, or any other
     sequence of ``(SaxWord, label)`` pairs, which is checked word by word
     and stacked once.  The query is then checked once against the rows
-    and ``table``: word length, alphabet size and source length.  Equal
-    distances resolve to the smallest training index.
+    and ``table``: word length, alphabet size and source length.  The
+    filter of leave-one-out and test scoring, ``distance._nearest``,
+    finds the neighbour; a model's one-hot for it is built on the first
+    query and kept.  Equal distances resolve to the smallest training
+    index.
     """
     train_words = _fitted_words(train_words, table)
     _check_compatible(query, train_words, table)
-    d2 = _dist_sq(query.symbols, train_words.rows, table.pair_dist**2)
-    return int(train_words.labels[int(np.argmin(d2))])
+    nearest = _nearest(query.symbols[None], train_words.rows, table.pair_dist**2, h=train_words.one_hot)
+    return int(train_words.labels[nearest[0]])
 
 
 def _loocv_from_rows(rows: np.ndarray, labels: np.ndarray, table: AlphabetTable) -> float:

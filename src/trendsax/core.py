@@ -242,9 +242,12 @@ class AlphabetTable:
     or adjacent, and the gap between the breakpoints just inside them
     otherwise.  Construction enforces the structural invariants (shapes,
     ordering, symmetry, the zero band next to the diagonal) so any
-    instance can be used safely; tables built by
-    :func:`make_alphabet_table` additionally satisfy the Gaussian
-    equal-probability layout.  Both arrays are read-only (see ``_read_only``).
+    instance can be used safely.  It also enforces the precondition of the
+    float32 1NN filter, ``distance._nearest``: every entry is finite, and
+    every nonzero float64 square of one lies within float32's normal
+    range.  Tables built by :func:`make_alphabet_table` additionally
+    satisfy the Gaussian equal-probability layout.  Both arrays are
+    read-only (see ``_read_only``).
     """
 
     breakpoints: np.ndarray
@@ -265,6 +268,11 @@ class AlphabetTable:
         near = np.abs(idx[:, None] - idx[None, :]) <= 1
         if pd[near].any():
             raise ValueError("pair_dist must be zero for equal and adjacent symbols")
+        with np.errstate(over="ignore"):
+            sq = pd * pd
+        f32 = np.finfo(np.float32)
+        if ((sq != 0) & ((sq < f32.tiny) | (sq > f32.max))).any():
+            raise ValueError("pair_dist must be finite, and every nonzero entry must square to a normal float32")
         object.__setattr__(self, "alphabet_size", alpha)
         object.__setattr__(self, "breakpoints", _read_only(bp, self.breakpoints))
         object.__setattr__(self, "pair_dist", _read_only(pd, self.pair_dist))

@@ -6,7 +6,7 @@ segmentation of z-normalized series it never exceeds the Euclidean
 distance between the raw series, so pruning with it cannot cause false
 dismissals.  ``verify_lower_bound`` packages that check as a library
 operation for auditing a configuration on concrete data.  ``_nearest``,
-the float32 filter behind leave-one-out and test scoring, sits beside
+the float32 filter behind ``nn1``, leave-one-out and test scoring, sits beside
 ``_dist_sq``, the exact sum whose order its error bound assumes.
 """
 
@@ -57,45 +57,56 @@ def _gamma(n: int, unit: float) -> float:
     return n * unit / (1 - n * unit)
 
 
-def _nearest(a: np.ndarray, b: np.ndarray, sq_pair: np.ndarray, leave_one_out: bool = False) -> np.ndarray:
+def _one_hot(b: np.ndarray, alpha: int) -> np.ndarray:
+    """The float32 one-hot of symbol rows ``b`` (N, m): ``H[j, k·α + t]`` is 1 where ``b[j, k] == t``."""
+    return np.take(np.eye(alpha, dtype=np.float32), b, axis=0).reshape(b.shape[0], -1)
+
+
+def _nearest(a: np.ndarray, b: np.ndarray, sq_pair: np.ndarray, leave_one_out: bool = False,
+             h: np.ndarray | None = None) -> np.ndarray:
     """Index of each ``a`` row's nearest ``b`` row by ``_dist_sq``, ties to the first index.
 
     Filter and refine (GEMINI, Faloutsos et al., SIGMOD 1994).  The filter
     scores a row chunk against every ``b`` row in one float32 matrix
     product ``P = E @ H.T``: ``E[i, k·α + t] = sq_pair[a_ik, t]`` and ``H``
-    is the one-hot of ``b``, so ``P[i, j]`` is the sum of the same m
-    entries as ``_dist_sq``.  Every term is non-negative, so (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., §3.1) ``P``
-    lies within gamma_{K+1} (float32 unit, K = m·α: one rounding of each
-    entry to float32 and K additions, in any order) of the real sum, and
-    the exact float64 left-to-right sum within gamma_m (float64 unit).  A
-    column can then hold a row's exact minimum only if its ``P`` is at most
-    ``P_min·(1+γ_m)(1+γ_{K+1})/((1−γ_m)(1−γ_{K+1}))``, rounded up; a row
-    whose ``P_min`` is 0 keeps its exact zeros only.  The bound needs a
-    classical summation: OpenBLAS sgemm adds the products of each element
-    in some order, with no Strassen-like scheme.  Every column that could
-    hold a row's exact minimum is kept, so a row that keeps one column has
-    its exact minimum, and its first-index answer, at its ``P_min``: the
-    bound decides that row.  The refine step writes the ``_dist_sq`` of
-    every other row's kept pairs into a (tied rows, N_b) float64 matrix
-    that starts at +inf, and its ``argmin`` along each row, the first
-    exact minimum, decides them.  ``E`` and ``H`` are gathered with
-    ``np.take`` from the float32 table and identity.  ``leave_one_out``
+    is ``_one_hot(b)``, so ``P[i, j]`` is the sum of the same m entries as
+    ``_dist_sq``.  Every term is non-negative, so (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., §3.1) ``P`` lies within
+    gamma_{K+1} (float32 unit, K = m·α: one rounding of each entry to
+    float32 and K additions, in any order) of the real sum, and the exact
+    float64 left-to-right sum within gamma_m (float64 unit).  A column can
+    then hold a row's exact minimum only if its ``P`` is at most
+    ``P_min·(1+γ_m)(1+γ_{K+1})/((1−γ_m)(1−γ_{K+1}))``, rounded up.  The
+    bound needs a classical summation: OpenBLAS sgemm adds the products of
+    each element in some order, with no Strassen-like scheme.  Every column
+    that could hold a row's exact minimum is kept, so a row that keeps one
+    column has its exact minimum, and its first-index answer, at its
+    ``P_min``: the bound decides that row.  It also decides a row whose
+    ``P_min`` is 0: every term is 0 or a normal float32 (the precondition
+    below), so a ``P`` is 0 only when every term is, its columns at 0 are
+    exact zeros, and the first of them is its answer.
+    The refine step writes the ``_dist_sq`` of every other row's kept pairs
+    into a (tied rows, N_b) float64 matrix that starts at +inf, and its
+    ``argmin`` along each row, the first exact minimum, decides them.
+    ``E`` is gathered with ``np.take`` from the float32 table.  ``h`` is
+    ``H`` when the caller holds it (a tuned model builds it once for all
+    its ``nn1`` queries); otherwise it is built here.  ``leave_one_out``
     scores ``a`` against itself (``b is a``) without the diagonal.  A row
     chunk holds about ``_CHUNK_BUDGET`` values of ``E``, of ``P`` and of
     the refine matrix, and the refine step gathers its pairs in smaller
     chunks, so memory stays bounded however many rows either side has.
     Precondition: every nonzero entry of ``sq_pair`` rounds to a normal
-    float32, or the float32 error bound fails.  Only library-built tables
-    come here (their smallest such entry, at α = 26, is 0.00932); ``nn1``
-    takes any ``AlphabetTable``, so it keeps its own exact scan.
+    float32, or the float32 error bound fails.  ``AlphabetTable`` makes
+    that an invariant of every table, so any ``table.pair_dist**2`` may
+    come here.
     """
     alpha, (n_b, m) = sq_pair.shape[0], b.shape
     width = m * alpha
     g64, g32 = _gamma(m, 2.0**-53), _gamma(width + 1, 2.0**-24)
     ratio = np.float64((1 + g64) * (1 + g32) / ((1 - g64) * (1 - g32)))
     sq32 = sq_pair.astype(np.float32)
-    h = np.take(np.eye(alpha, dtype=np.float32), b, axis=0).reshape(n_b, width)
+    if h is None:
+        h = _one_hot(b, alpha)
     arg = np.empty(a.shape[0], dtype=np.int64)
     step = max(1, _CHUNK_BUDGET // max(width, n_b))
     # the refine step holds several int64 and float64 arrays of pairs x m values
@@ -107,13 +118,14 @@ def _nearest(a: np.ndarray, b: np.ndarray, sq_pair: np.ndarray, leave_one_out: b
         if leave_one_out:
             p[chunk, chunk + i0] = np.inf
         first = p.argmin(axis=1)
-        # rounding the float64 product to float32 and then one step up lands above the real limit
-        limit = (p[chunk, first] * ratio).astype(np.float32)[:, None]
-        np.nextafter(limit, np.float32(np.inf), out=limit, where=limit > 0)
-        keep = p <= limit
-        # a row that keeps one column has its exact minimum there, at its P_min
         arg[i0:i1] = first
-        tied = np.flatnonzero(np.count_nonzero(keep, axis=1) > 1)
+        p_min = p[chunk, first][:, None]
+        # rounding the float64 product to float32 and then one step up lands above the real limit
+        keep = p <= np.nextafter((p_min * ratio).astype(np.float32), np.float32(np.inf))
+        if np.count_nonzero(keep) == chunk.size:
+            continue  # every row keeps one column
+        # a row that keeps one column, or whose minimum is 0, has its exact minimum at its first P_min
+        tied = np.flatnonzero((np.count_nonzero(keep, axis=1) > 1) & (p_min[:, 0] > 0))
         rows, cols = np.nonzero(keep[tied])
         d2 = np.full((tied.size, n_b), np.inf)
         for k0 in range(0, rows.size, pairs):

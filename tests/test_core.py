@@ -150,6 +150,27 @@ class TestMakeAlphabetTable:
         with pytest.raises(ValueError, match=r"^pair_dist must be 3x3, got \(2, 2\)$"):
             AlphabetTable(good.breakpoints, good.pair_dist[:2, :2])
 
+    @pytest.mark.parametrize("change", ["inf off the band", "scaled by 1e-25", "scaled by 1e25"])
+    def test_rejects_entries_the_float32_filter_cannot_bound(self, change):
+        # an entry whose square is not a normal float32 breaks the 1NN filter's error bound
+        good = make_alphabet_table(4)
+        pair_dist = good.pair_dist.copy()
+        if change == "inf off the band":
+            pair_dist[0, 3] = pair_dist[3, 0] = np.inf
+        else:
+            pair_dist *= float(change.rpartition(" ")[2])
+        message = "pair_dist must be finite, and every nonzero entry must square to a normal float32"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            AlphabetTable(good.breakpoints, pair_dist)
+
+    def test_every_library_table_builds(self):
+        f32 = np.finfo(np.float32)
+        for alpha in range(2, 27):
+            table = make_alphabet_table(alpha)
+            assert AlphabetTable(table.breakpoints, table.pair_dist).alphabet_size == alpha
+            sq = table.pair_dist[table.pair_dist > 0] ** 2
+            assert ((sq >= f32.tiny) & (sq <= f32.max)).all(), alpha
+
     def test_results_are_immutable(self):
         table = make_alphabet_table(4)
         with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 import strategies
-from trendsax import distance
+from trendsax import classify, distance
 from trendsax.classify import TunedModel, _loocv_from_rows, nn1
 from trendsax.core import PaaVector, SaxWord, make_alphabet_table, paa, symbolize, znormalize
 from trendsax.distance import (
@@ -232,6 +232,14 @@ def count_scored_pairs(monkeypatch):
     return scored
 
 
+def positive_tie_case():
+    """120 rows at alpha = 3 and the squared table; a distance counts the rows' (0, 2)
+    pairs, about 10 here, so many rows tie exactly at a minimum above 0."""
+    rng = np.random.default_rng(128)
+    a = rng.choice(3, size=(120, 128), p=[0.2, 0.6, 0.2])
+    return a, make_alphabet_table(3).pair_dist**2
+
+
 class TestPrefilter:
     # the float32 product picks candidates, and its bound decides a row that keeps
     # one of them; the exact sum must decide every row that keeps two or more
@@ -281,17 +289,32 @@ class TestPrefilter:
         assert nearest.tolist() == oracle_nearest(b, a, ref_table)
 
     def test_tied_rows_are_rescored(self, monkeypatch):
-        # the mass-tie case: exact ties keep two or more columns, so the exact sum decides
+        # exact ties above 0 keep two or more columns, so the exact sum decides
+        a, sq = positive_tie_case()
+        d2 = _dist_sq(a[:, None], a[None], sq)
+        np.fill_diagonal(d2, np.inf)
+        scored = count_scored_pairs(monkeypatch)
+        assert np.array_equal(_nearest(a, a, sq, leave_one_out=True), np.argmin(d2, axis=1))
+        low = d2.min(axis=1, keepdims=True)
+        tied_rows = int((((d2 == low).sum(axis=1) > 1) & (low[:, 0] > 0)).sum())
+        assert scored[0] >= 2 * tied_rows > 0
+
+    def test_exact_zero_rows_are_decided_by_the_bound_alone(self, monkeypatch):
+        # in the mass-tie data every row's minimum is an exact 0, mostly at several
+        # columns; a product of 0 adds only zero terms, so the row keeps its exact
+        # zeros and the first of them is its answer
         rng = np.random.default_rng(128)
         edge = 128**-0.5
         a = rng.choice(3, size=(120, 128), p=[edge, 1 - 2 * edge, edge])
         sq = make_alphabet_table(3).pair_dist**2
         d2 = _dist_sq(a[:, None], a[None], sq)
         np.fill_diagonal(d2, np.inf)
+        assert (d2.min(axis=1) == 0).all() and ((d2 == 0).sum(axis=1) > 1).mean() > 0.9
+        want_test = exact_nearest(a[:30], a[30:], sq)
         scored = count_scored_pairs(monkeypatch)
         assert np.array_equal(_nearest(a, a, sq, leave_one_out=True), np.argmin(d2, axis=1))
-        tied_rows = int(((d2 == d2.min(axis=1, keepdims=True)).sum(axis=1) > 1).sum())
-        assert scored[0] >= 2 * tied_rows > 0
+        assert np.array_equal(_nearest(a[:30], a[30:], sq), want_test)
+        assert scored == [0]
 
     def test_leave_one_out_never_picks_the_row_itself(self):
         # duplicate rows sit at distance 0 from each other and from themselves
@@ -321,6 +344,64 @@ class TestPrefilter:
         d2 = _dist_sq(queries[:, None], rows[None], sq)
         assert all(np.unique(d).size > 1 for d in d2)
         assert np.array_equal(_nearest(queries, rows, sq), np.argmin(d2, axis=1))
+
+
+class TestNn1Filter:
+    # nn1 goes through _nearest with the model's one-hot, so the filter and its
+    # refine step decide single queries as they decide leave-one-out and test rows
+
+    @staticmethod
+    def model_of(rows, alpha, n=256):
+        labels = np.arange(rows.shape[0]) % 5
+        table = make_alphabet_table(alpha)
+        return TunedModel("classic", [(word_of(r, alpha, n), int(l)) for r, l in zip(rows, labels)], table)
+
+    def test_a_separated_query_scores_no_pairs(self, monkeypatch):
+        rng = np.random.default_rng(26)
+        a = rng.integers(0, 26, size=(60, 64))
+        queries = rng.integers(0, 26, size=(30, 64))
+        model = self.model_of(a, 26)
+        want = model.train_words.labels[exact_nearest(queries, a, model.table.pair_dist**2)]
+        scored = count_scored_pairs(monkeypatch)
+        got = [nn1(word_of(q, 26, 256), model.train_words, model.table) for q in queries]
+        assert scored == [0]
+        assert got == want.tolist()
+
+    def test_a_model_builds_its_one_hot_once(self, monkeypatch):
+        a, _, _, _, _ = kernel_case(20)
+        model = self.model_of(a, 20)
+        one_hot, built = distance._one_hot, []
+
+        def spy(b, alpha):
+            built.append(b.shape)
+            return one_hot(b, alpha)
+
+        monkeypatch.setattr(distance, "_one_hot", spy)
+        monkeypatch.setattr(classify, "_one_hot", spy)
+        for query in a[:20]:
+            nn1(word_of(query, 20, 256), model.train_words, model.table)
+        assert built == [a.shape]
+        assert model.train_words.one_hot is model.train_words.one_hot
+        assert not model.train_words.one_hot.flags.writeable
+        # a list of pairs is stacked on every call, and so is its one-hot
+        nn1(word_of(a[0], 20, 256), list(model.train_words), model.table)
+        assert built == [a.shape] * 2
+
+    def test_tied_queries_are_refined_to_the_oracle(self, monkeypatch):
+        a, sq = positive_tie_case()
+        train, queries = a[:90], a[90:]
+        d2 = _dist_sq(queries[:, None], train[None], sq)
+        low = d2.min(axis=1, keepdims=True)
+        assert (((d2 == low).sum(axis=1) > 1) & (low[:, 0] > 0)).mean() > 0.2
+        model = self.model_of(train, 3)
+        ref_table = oracles.pair_table(list(model.table.breakpoints))
+        labels = model.train_words.labels.tolist()
+        for path in (model.train_words, list(model.train_words)):
+            scored = count_scored_pairs(monkeypatch)
+            for query in queries:
+                want = oracles.nn1(query.tolist(), train.tolist(), labels, ref_table)
+                assert nn1(word_of(query, 3, 256), path, model.table) == want
+            assert scored[0] > 0
 
 
 class TestVerifyLowerBound:
