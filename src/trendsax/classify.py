@@ -100,8 +100,8 @@ class TunedModel:
     and reads as a sequence of ``(SaxWord, label)`` pairs built on demand.
     ``nn1`` scores those rows as they are, with no stacking and no
     per-word check, and with their float32 one-hot (N × m·α values),
-    built on the first ``nn1`` call and kept with the rows.  Rows given
-    here are checked once against ``table``; any other sequence of pairs
+    built on the first ``nn1`` call or test scoring and kept with the
+    rows.  Rows given here are checked once against ``table``; any other sequence of pairs
     is checked word by word and stored as rows the same way.  Construction sets ``m`` from the words and
     ``alphabet_size`` from ``table``.
     """
@@ -212,7 +212,7 @@ def evaluate(train: LabeledDataset, test: LabeledDataset, scheme: str, m: int,
     seg = segment(scheme, test.n, m)
     test_rows = _symbol_matrix(_block_means(test._zrows, seg), model.table)
     words = model.train_words
-    predicted = words.labels[_nearest(test_rows, words.rows, model.table.pair_dist**2)]
+    predicted = words.labels[_nearest(test_rows, words.rows, model.table.pair_dist**2, h=words.one_hot)]
     misclassified = int((predicted != test.labels).sum())
     total = len(test)
     return EvaluationReport(

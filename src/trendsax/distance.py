@@ -89,12 +89,13 @@ def _nearest(a: np.ndarray, b: np.ndarray, sq_pair: np.ndarray, leave_one_out: b
     into a (tied rows, N_b) float64 matrix that starts at +inf, and its
     ``argmin`` along each row, the first exact minimum, decides them.
     ``E`` is gathered with ``np.take`` from the float32 table.  ``h`` is
-    ``H`` when the caller holds it (a tuned model builds it once for all
-    its ``nn1`` queries); otherwise it is built here.  ``leave_one_out``
-    scores ``a`` against itself (``b is a``) without the diagonal.  A row
-    chunk holds about ``_CHUNK_BUDGET`` values of ``E``, of ``P`` and of
-    the refine matrix, and the refine step gathers its pairs in smaller
-    chunks, so memory stays bounded however many rows either side has.
+    ``H`` when the caller holds it (a tuned model builds it once for its
+    test scoring and all its ``nn1`` queries); otherwise it is built
+    here.  ``leave_one_out`` scores ``a`` against itself (``b is a``)
+    without the diagonal.  A row chunk holds about ``_CHUNK_BUDGET``
+    values of ``E``, of ``P`` and of the refine matrix, and the refine
+    step gathers its pairs in smaller chunks, so memory stays bounded
+    however many rows either side has.
     Precondition: every nonzero entry of ``sq_pair`` rounds to a normal
     float32, or the float32 error bound fails.  ``AlphabetTable`` makes
     that an invariant of every table, so any ``table.pair_dist**2`` may

@@ -1,6 +1,7 @@
 """The summary that ``tools/bench_pairs.py`` writes into ``BENCH_<label>.json``."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -41,3 +42,11 @@ def test_summary_counts_wins_in_each_metric_direction():
     # a tie counts for neither side
     assert latency["change_better_in"] == "1/3"
     assert summary["ops_per_s"]["change_better_in"] == "1/3"
+
+
+def test_recorded_command_is_the_command_run_for_the_benchmark_run_length():
+    root = SCRIPT.parent.parent
+    seconds = json.loads((root / "BENCHMARK.json").read_text())["run_seconds"]
+    run_args = bench_pairs.bench_command("W", "S", seconds)[1:]
+    assert run_args[run_args.index("--seconds") + 1] == str(seconds)
+    assert json.loads((root / "BENCH_nn1_filter.json").read_text())["command"] == " ".join(["python3", *run_args])

@@ -1,13 +1,14 @@
 """Run ``bench/run.py`` on two checkouts in alternating order and write ``BENCH_<label>.json``.
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --label NAME \\
-        --workloads stream,tall,wide --seeds 110-119 [--seconds 30] [--out DIR]
+        --workloads stream,tall,wide --seeds FIRST-LAST [--out DIR]
 
 Each checkout runs its own ``bench/run.py`` from its own directory, one
-run at a time.  Within each workload the seeds run in the order given;
-at the seed in position i the parent runs first when i is even and the
-change runs first when i is odd.  The summary gives, per workload and
-end-to-end metric of ``BENCHMARK.json``, the median and quartiles
+run at a time, for the ``run_seconds`` of the change's ``BENCHMARK.json``.
+Within each workload the seeds run in the order given; at the seed in
+position i the parent runs first when i is even and the change runs
+first when i is odd.  The summary gives, per workload and end-to-end
+metric of ``BENCHMARK.json``, the median and quartiles
 (numpy.percentile 25 and 75, linear interpolation) of each side, the
 change of the median, and in how many pairs the change was better.
 """
@@ -43,7 +44,7 @@ def commit_of(checkout: Path) -> str:
     return done.stdout.strip() if done.returncode == 0 else "unknown"
 
 
-def bench_command(workload: str, seed: int, seconds: float) -> list[str]:
+def bench_command(workload: str, seed: int | str, seconds: float) -> list[str]:
     return [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
 
@@ -102,8 +103,7 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
     parser.add_argument("--label", required=True, help="names the output file BENCH_<label>.json")
     parser.add_argument("--workloads", default="stream,tall,wide", help="comma-separated workloads")
-    parser.add_argument("--seeds", type=parse_seeds, required=True, help="seeds, e.g. 110-119 or 1,4,7")
-    parser.add_argument("--seconds", type=float, default=30, help="--seconds passed to bench/run.py")
+    parser.add_argument("--seeds", type=parse_seeds, required=True, help="seeds, e.g. 120-129 or 1,4,7")
     parser.add_argument("--out", type=Path, default=Path("."), help="directory of the output file")
     return parser.parse_args(argv)
 
@@ -111,12 +111,13 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
 def main(argv: list[str]) -> int:
     args = parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    metrics = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())["end_to_end"]
+    benchmark = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
     runs = []
     for workload in args.workloads.split(","):
         for i, seed in enumerate(args.seeds):
             for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-                run = run_one(checkouts[side], workload, seed, args.seconds)
+                run = run_one(checkouts[side], workload, seed, seconds)
                 runs.append({"workload": workload, "seed": seed, "side": side, **run})
                 value = {name: round(m["value"], 4) for name, m in run["result"]["metrics"].items()}
                 print(f"{workload} seed {seed} {side}: correct={run['result']['correct']} {value}",
@@ -127,12 +128,11 @@ def main(argv: list[str]) -> int:
         "label": args.label,
         "parent": commit_of(checkouts["parent"]),
         "change": commit_of(checkouts["change"]),
-        "command": " ".join(["python3", "bench/run.py", "--workload", "W", "--seed", "S",
-                             "--seconds", f"{args.seconds:g}", "--trace", "0"]),
+        "command": " ".join(["python3", *bench_command("W", "S", seconds)[1:]]),
         "machine": machine.removeprefix("machine: "),
         "order": ("within each workload the seeds ran in the order listed; the parent ran first at "
                   "even positions and the change first at odd positions; one run at a time"),
-        "summary": summarize(runs, metrics),
+        "summary": summarize(runs, benchmark["end_to_end"]),
         "runs": runs,
     }
     path = args.out / f"BENCH_{args.label}.json"
