@@ -148,12 +148,12 @@ def nn1(query: SaxWord, train_words: Sequence[tuple[SaxWord, int]], table: Alpha
     """
     train_words = _fitted_words(train_words, table)
     _check_compatible(query, train_words, table)
-    nearest = _nearest(query.symbols[None], train_words.rows, table.pair_dist**2, h=train_words.one_hot)
+    nearest = _nearest(query.symbols[None], train_words.rows, table._sq, h=train_words.one_hot, sq32=table._sq32)
     return int(train_words.labels[nearest[0]])
 
 
 def _loocv_from_rows(rows: np.ndarray, labels: np.ndarray, table: AlphabetTable) -> float:
-    predicted = labels[_nearest(rows, rows, table.pair_dist**2, leave_one_out=True)]
+    predicted = labels[_nearest(rows, rows, table._sq, leave_one_out=True, sq32=table._sq32)]
     return int((predicted != labels).sum()) / labels.size
 
 
@@ -210,9 +210,9 @@ def evaluate(train: LabeledDataset, test: LabeledDataset, scheme: str, m: int,
         raise ValueError(f"train and test series lengths differ: {train.n} vs {test.n}")
     model, train_error = _tune(train, scheme, m, alphabet_range)
     seg = segment(scheme, test.n, m)
-    test_rows = _symbol_matrix(_block_means(test._zrows, seg), model.table)
-    words = model.train_words
-    predicted = words.labels[_nearest(test_rows, words.rows, model.table.pair_dist**2, h=words.one_hot)]
+    words, table = model.train_words, model.table
+    test_rows = _symbol_matrix(_block_means(test._zrows, seg), table)
+    predicted = words.labels[_nearest(test_rows, words.rows, table._sq, h=words.one_hot, sq32=table._sq32)]
     misclassified = int((predicted != test.labels).sum())
     total = len(test)
     return EvaluationReport(

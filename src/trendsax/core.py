@@ -105,10 +105,15 @@ def znormalize(values) -> np.ndarray:
 
 
 def _znormalize_rows(x: np.ndarray) -> np.ndarray:
-    """:func:`znormalize` along the last axis, each row on its own."""
-    mu = x.mean(axis=-1, keepdims=True)
-    sd = x.std(axis=-1, keepdims=True)
-    z = np.divide(x - mu, sd, out=np.zeros_like(x), where=sd >= _DEGENERATE_STD)
+    """:func:`znormalize` along the last axis, each row on its own.
+
+    The row is centred once and its standard deviation taken from that
+    copy: the same sums, square, divide and ``sqrt`` as ``x.std``, so the
+    same bits, without centring the row twice more.
+    """
+    d = x - x.mean(axis=-1, keepdims=True)
+    sd = np.sqrt((d * d).mean(axis=-1, keepdims=True))
+    z = np.divide(d, sd, out=np.zeros_like(x), where=sd >= _DEGENERATE_STD)
     if not np.isfinite(z).all():
         raise ValueError("series contains non-finite values")
     return z
@@ -246,13 +251,17 @@ class AlphabetTable:
     float32 1NN filter, ``distance._nearest``: every entry is finite, and
     every nonzero float64 square of one lies within float32's normal
     range.  Tables built by :func:`make_alphabet_table` additionally
-    satisfy the Gaussian equal-probability layout.  Both arrays are
-    read-only (see ``_read_only``).
+    satisfy the Gaussian equal-probability layout.  Construction also
+    keeps the squared table that every word distance reads, ``_sq``
+    (float64) and ``_sq32`` (its float32 copy for the filter).  All four
+    arrays are read-only (see ``_read_only``).
     """
 
     breakpoints: np.ndarray
     pair_dist: np.ndarray
     alphabet_size: int = field(init=False)
+    _sq: np.ndarray = field(init=False, repr=False)
+    _sq32: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         bp = np.asarray(self.breakpoints, dtype=np.float64)
@@ -276,6 +285,10 @@ class AlphabetTable:
         object.__setattr__(self, "alphabet_size", alpha)
         object.__setattr__(self, "breakpoints", _read_only(bp, self.breakpoints))
         object.__setattr__(self, "pair_dist", _read_only(pd, self.pair_dist))
+        sq32 = sq.astype(np.float32)
+        sq.flags.writeable = sq32.flags.writeable = False
+        object.__setattr__(self, "_sq", sq)
+        object.__setattr__(self, "_sq32", sq32)
 
 
 @lru_cache(maxsize=MAX_ALPHABET)
@@ -358,7 +371,7 @@ class SaxWord:
         if syms.ndim != 1 or syms.size == 0:
             raise ValueError("symbols must be a non-empty one-dimensional sequence")
         object.__setattr__(self, "alphabet_size", _alphabet_size(self.alphabet_size))
-        if (syms < 0).any() or (syms >= self.alphabet_size).any():
+        if syms.min() < 0 or syms.max() >= self.alphabet_size:
             raise ValueError("symbol indices must lie in [0, alphabet_size)")
         object.__setattr__(self, "source_length", _source_length(self.source_length, syms.size))
         object.__setattr__(self, "symbols", _read_only(syms, self.symbols))

@@ -63,7 +63,7 @@ def _one_hot(b: np.ndarray, alpha: int) -> np.ndarray:
 
 
 def _nearest(a: np.ndarray, b: np.ndarray, sq_pair: np.ndarray, leave_one_out: bool = False,
-             h: np.ndarray | None = None) -> np.ndarray:
+             h: np.ndarray | None = None, sq32: np.ndarray | None = None) -> np.ndarray:
     """Index of each ``a`` row's nearest ``b`` row by ``_dist_sq``, ties to the first index.
 
     Filter and refine (GEMINI, Faloutsos et al., SIGMOD 1994).  The filter
@@ -88,24 +88,26 @@ def _nearest(a: np.ndarray, b: np.ndarray, sq_pair: np.ndarray, leave_one_out: b
     The refine step writes the ``_dist_sq`` of every other row's kept pairs
     into a (tied rows, N_b) float64 matrix that starts at +inf, and its
     ``argmin`` along each row, the first exact minimum, decides them.
-    ``E`` is gathered with ``np.take`` from the float32 table.  ``h`` is
-    ``H`` when the caller holds it (a tuned model builds it once for its
-    test scoring and all its ``nn1`` queries); otherwise it is built
-    here.  ``leave_one_out`` scores ``a`` against itself (``b is a``)
-    without the diagonal.  A row chunk holds about ``_CHUNK_BUDGET``
+    ``E`` is gathered with ``np.take`` from the float32 table ``sq32``.
+    ``h`` is ``H`` when the caller holds it (a tuned model builds it once
+    for its test scoring and all its ``nn1`` queries), and ``sq32`` is a
+    table's ``_sq32``; either is built here when not given.
+    ``leave_one_out`` scores ``a`` against itself (``b is a``) without the
+    diagonal.  A row chunk holds about ``_CHUNK_BUDGET``
     values of ``E``, of ``P`` and of the refine matrix, and the refine
     step gathers its pairs in smaller chunks, so memory stays bounded
     however many rows either side has.
     Precondition: every nonzero entry of ``sq_pair`` rounds to a normal
     float32, or the float32 error bound fails.  ``AlphabetTable`` makes
-    that an invariant of every table, so any ``table.pair_dist**2`` may
-    come here.
+    that an invariant of every table, so any table's ``_sq`` may come
+    here.
     """
     alpha, (n_b, m) = sq_pair.shape[0], b.shape
     width = m * alpha
     g64, g32 = _gamma(m, 2.0**-53), _gamma(width + 1, 2.0**-24)
     ratio = np.float64((1 + g64) * (1 + g32) / ((1 - g64) * (1 - g32)))
-    sq32 = sq_pair.astype(np.float32)
+    if sq32 is None:
+        sq32 = sq_pair.astype(np.float32)
     if h is None:
         h = _one_hot(b, alpha)
     arg = np.empty(a.shape[0], dtype=np.int64)
@@ -150,7 +152,7 @@ def _check_compatible(s: SaxWord, t: SaxWord, table: AlphabetTable) -> None:
 
 def _word_distance(a: np.ndarray, b: np.ndarray, table: AlphabetTable, source_length: int) -> float:
     """sqrt(n/m) * sqrt(squared distance) between two symbol rows of length m."""
-    d2 = _dist_sq(a, b, table.pair_dist**2)
+    d2 = _dist_sq(a, b, table._sq)
     return math.sqrt(source_length / a.size) * math.sqrt(d2)
 
 

@@ -11,7 +11,8 @@ spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
 bench_pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_pairs)
 
-METRICS = [{"name": "latency_ms", "better": "lower"}, {"name": "ops_per_s", "better": "higher"}]
+METRICS = [{"name": "latency_ms", "better": "lower", "bound": 0.25},
+           {"name": "ops_per_s", "better": "higher", "bound": 0.25}]
 
 
 def run(seed, side, latency, ops, correct=True, failed=0):
@@ -24,6 +25,42 @@ def run(seed, side, latency, ops, correct=True, failed=0):
                                          ("1,4-5", [1, 4, 5])])
 def test_parse_seeds(text, seeds):
     assert bench_pairs.parse_seeds(text) == seeds
+
+
+@pytest.mark.parametrize("text", ["5-3", "1,9-8"])
+def test_parse_seeds_rejects_a_descending_range(text):
+    with pytest.raises(ValueError, match="descends"):
+        bench_pairs.parse_seeds(text)
+
+
+def pairs(parent, change):
+    return [run(seed, side, latency, 1000 / latency) for seed, (p, c) in enumerate(zip(parent, change))
+            for side, latency in (("parent", p), ("change", c))]
+
+
+def verdicts(parent, change):
+    summary = bench_pairs.summarize(pairs(parent, change), METRICS)["stream"]
+    return [(summary[name]["gain_rule_met"], summary[name]["within_bound"]) for name in ("latency_ms", "ops_per_s")]
+
+
+def test_gain_rule_needs_nine_wins_in_ten_and_a_median_gap_beyond_the_parent_iqr():
+    parent = [10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0, 18.0, 19.0]  # median 14.5, IQR 4.5
+    # 9 wins and a median 5 lower: met in both directions
+    assert verdicts(parent, [p - 5 for p in parent[:9]] + [19.5]) == [(True, True)] * 2
+    # 8 wins of 10 are too few, however far the median moves
+    assert verdicts(parent, [p - 5 for p in parent[:8]] + [19.5, 20.0]) == [(False, True)] * 2
+    # 10 wins but a median only 1 lower sits inside the parent's IQR
+    assert verdicts(parent, [p - 1 for p in parent]) == [(False, True)] * 2
+
+
+def test_within_bound_compares_the_median_with_the_relative_bound():
+    parent = [10.0] * 4
+    # 25% slower is at the bound; a little more is beyond it
+    assert verdicts(parent, [12.5] * 4)[0] == (False, True)
+    assert verdicts(parent, [12.6] * 4)[0] == (False, False)
+    # the higher-is-better rate is judged the other way round
+    assert verdicts(parent, [10 / 1.34] * 4)[1] == (True, True)
+    assert verdicts(parent, [10 * 1.34] * 4)[1] == (False, False)
 
 
 def test_summary_counts_wins_in_each_metric_direction():

@@ -58,6 +58,30 @@ class TestZnormalize:
             with pytest.raises(ValueError, match="^series contains non-finite values$"):
                 znormalize([1.7e308, 1.7e308])
 
+    def test_overflowing_rows_raise_the_same_way(self):
+        rows = np.array([[1.7e308, 1.7e308], [1.0, 2.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="^series contains non-finite values$"):
+                _znormalize_rows(rows)
+
+    @pytest.mark.parametrize("shape", [(256,), (1, 256), (2345, 1024), (1380, 1639)],
+                             ids=["1-D", "one row", "mallat-like split", "cinc-like split"])
+    def test_bits_equal_numpy_std_row_by_row(self, shape):
+        # the centred form must keep every bit of (x - x.mean()) / x.std(): a variance taken
+        # with ``d @ d`` or ``np.dot`` adds in another order and fails here
+        rng = np.random.default_rng(sum(shape))
+        x = rng.normal(3.0, 5.0, size=shape).cumsum(axis=-1)
+        rows = x.reshape(-1, shape[-1])
+        if rows.shape[0] > 1:
+            rows[::7] = 2.5  # constant rows among the random ones
+            rows[3::7] = rows[3::7, :1]
+        z = _znormalize_rows(x)
+        assert z.shape == x.shape
+        for got, row in zip(z.reshape(rows.shape), rows):
+            sd = row.std()
+            want = (row - row.mean()) / sd if sd >= 1e-12 else np.zeros_like(row)
+            assert got.tobytes() == want.tobytes()
+
     def test_matches_reference(self):
         rng = np.random.default_rng(11)
         for _ in range(20):

@@ -21,7 +21,8 @@ def tuned_model() -> TunedModel:
 # each record's constructor parameters, the attributes it works out, and an instance
 RECORDS = [
     (Segmentation, ["scheme", "blocks"], ["m", "w", "n_effective"], lambda: segment("split", 16, 4)),
-    (AlphabetTable, ["breakpoints", "pair_dist"], ["alphabet_size"], lambda: make_alphabet_table(5)),
+    (AlphabetTable, ["breakpoints", "pair_dist"], ["alphabet_size", "_sq", "_sq32"],
+     lambda: make_alphabet_table(5)),
     (TunedModel, ["scheme", "train_words", "table"], ["m", "alphabet_size"], tuned_model),
     (LowerBoundReport, ["mindist", "euclidean"], ["holds", "slack"], lambda: LowerBoundReport(2.0, 1.0)),
     (PaaVector, ["means", "source_length"], ["m"], lambda: PaaVector([0.5, -0.5], 8)),
@@ -45,6 +46,19 @@ class TestDerivedValues:
             table = make_alphabet_table(alpha)
             assert table.alphabet_size == alpha
             assert AlphabetTable(table.breakpoints, table.pair_dist).alphabet_size == alpha
+
+    def test_table_squares_are_built_once_from_its_distances(self):
+        built = [make_alphabet_table(alpha) for alpha in range(2, 27)]
+        good = make_alphabet_table(6)
+        # a caller-built table with distances no make_alphabet_table call gives
+        built.append(AlphabetTable(good.breakpoints, good.pair_dist * 1.7))
+        for table in built:
+            want = table.pair_dist**2
+            assert table._sq.dtype == np.float64 and table._sq.tobytes() == want.tobytes()
+            assert table._sq32.dtype == np.float32 and table._sq32.tobytes() == want.astype(np.float32).tobytes()
+            assert not (table._sq.flags.writeable or table._sq32.flags.writeable)
+            assert table._sq is table._sq and table._sq32 is table._sq32
+        assert make_alphabet_table(9)._sq32 is make_alphabet_table(9)._sq32
 
     def test_model_sizes_come_from_its_words_and_table(self):
         model = tuned_model()

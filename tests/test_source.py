@@ -116,3 +116,32 @@ def test_the_stack_names_every_module():
 def test_each_module_imports_only_the_modules_before_it(layer):
     source = (Path(trendsax.__file__).parent / f"{layer}.py").read_text()
     assert library_imports(source) <= set(LAYERS[:LAYERS.index(layer)])
+
+
+def pair_dist_squares(source: str) -> list[int]:
+    """Lines that square a ``pair_dist`` or cast one to float32: a power, a product or a call on it."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Pow, ast.Mult)):
+            operands = [node.left, node.right]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in (
+                "astype", "square", "power", "multiply", "float32", "asarray", "array"):
+            operands = [node.func.value, *node.args]
+        else:
+            continue
+        if any(isinstance(inner, ast.Attribute) and inner.attr == "pair_dist"
+               for operand in operands for inner in ast.walk(operand)):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_finds_a_squared_pair_dist():
+    source = ("a = table.pair_dist**2\nb = t.pair_dist * t.pair_dist\nc = t.pair_dist.astype(np.float32)\n"
+              "d = np.square(t.pair_dist)\ne = t._sq\nf = t.pair_dist[0, 2]\n")
+    assert pair_dist_squares(source) == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("path", [path for path in SOURCES if path.stem != "core"], ids=lambda path: path.name)
+def test_only_the_table_squares_its_distances(path):
+    # AlphabetTable builds _sq and _sq32 once; every other module reads them
+    assert pair_dist_squares(path.read_text()) == []

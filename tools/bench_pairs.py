@@ -10,7 +10,12 @@ position i the parent runs first when i is even and the change runs
 first when i is odd.  The summary gives, per workload and end-to-end
 metric of ``BENCHMARK.json``, the median and quartiles
 (numpy.percentile 25 and 75, linear interpolation) of each side, the
-change of the median, and in how many pairs the change was better.
+change of the median, and in how many pairs the change was better.  Two
+verdicts follow: ``gain_rule_met``, the change is better in at least
+9 of 10 pairs and its median beats the parent's by more than the
+parent's interquartile range; and ``within_bound``, the change's median
+is worse than the parent's by no more than the metric's relative
+``bound``.
 """
 
 from __future__ import annotations
@@ -30,11 +35,14 @@ _KEPT_LINE = re.compile(r"^(machine:|(round|query|audit)_p\d+\s)")
 
 
 def parse_seeds(text: str) -> list[int]:
-    """``"3,5,8-10"`` as ``[3, 5, 8, 9, 10]``."""
+    """``"3,5,8-10"`` as ``[3, 5, 8, 9, 10]``; ValueError for a descending range such as ``"5-3"``."""
     seeds: list[int] = []
     for part in text.split(","):
         low, _, high = part.partition("-")
-        seeds.extend(range(int(low), int(high or low) + 1))
+        low, high = int(low), int(high or low)
+        if high < low:
+            raise ValueError(f"seed range {part!r} descends")
+        seeds.extend(range(low, high + 1))
     return seeds
 
 
@@ -66,7 +74,7 @@ def quartiles(values: list[float]) -> list[float]:
 
 
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
-    """Per workload: pairs, seeds, correctness, and per metric both sides' medians, quartiles and wins."""
+    """Per workload: pairs, seeds, correctness, and per metric both sides' medians, quartiles, wins and verdicts."""
     summary: dict = {}
     for workload in dict.fromkeys(run["workload"] for run in runs):
         sides = {side: [run for run in runs if run["workload"] == workload and run["side"] == side]
@@ -84,6 +92,8 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
             parent, change = (np.median(values[side]) for side in ("parent", "change"))
             lower = metric["better"] == "lower"
             wins = sum((c < p) if lower else (c > p) for p, c in zip(values["parent"], values["change"]))
+            q1, q3 = np.percentile(values["parent"], [25, 75])
+            gain = (parent - change) if lower else (change - parent)
             out[name] = {
                 "parent_median": round(float(parent), 4),
                 "parent_q1_q3": quartiles(values["parent"]),
@@ -91,6 +101,8 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
                 "change_q1_q3": quartiles(values["change"]),
                 "median_change": f"{(change / parent - 1) * 100:+.1f}%",
                 "change_better_in": f"{wins}/{len(values['change'])}",
+                "gain_rule_met": bool(10 * wins >= 9 * len(values["change"]) and gain > q3 - q1),
+                "within_bound": bool(-gain <= metric["bound"] * parent),
                 "parent": [round(v, 4) for v in values["parent"]],
                 "change": [round(v, 4) for v in values["change"]],
             }
