@@ -200,6 +200,6 @@ def verify_lower_bound(
     ed = euclidean(s, t)  # checks the pair first
     seg = segment(scheme, len(s), m)
     table = make_alphabet_table(alphabet_size)
-    # the pair as two rows: the same block means, symbols and distance as words of s and t
-    rows = _symbol_matrix(_block_means(np.stack([_as_series(s), _as_series(t)]), seg), table)
+    # s and t as two rows of one array (euclidean checked the shapes): the same means, symbols and distance as words
+    rows = _symbol_matrix(_block_means(_as_series(np.concatenate((s, t))).reshape(2, -1), seg), table)
     return LowerBoundReport(_word_distance(rows[0], rows[1], table, seg.n_effective), ed)
