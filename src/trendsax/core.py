@@ -107,13 +107,14 @@ def znormalize(values) -> np.ndarray:
 def _znormalize_rows(x: np.ndarray) -> np.ndarray:
     """:func:`znormalize` along the last axis, each row on its own.
 
-    The row is centred once and its standard deviation taken from that
-    copy: the same sums, square, divide and ``sqrt`` as ``x.std``, so the
-    same bits, without centring the row twice more.
+    Each row is centred once, into the copy that is then scaled in place;
+    its standard deviation takes the same sums, square, divide and
+    ``sqrt`` from that copy as ``x.std`` does, so it has the same bits.
     """
-    d = x - x.mean(axis=-1, keepdims=True)
-    sd = np.sqrt((d * d).mean(axis=-1, keepdims=True))
-    z = np.divide(d, sd, out=np.zeros_like(x), where=sd >= _DEGENERATE_STD)
+    z = x - x.mean(axis=-1, keepdims=True)
+    sd = np.sqrt((z * z).mean(axis=-1, keepdims=True))
+    np.divide(z, sd, out=z, where=sd >= _DEGENERATE_STD)
+    np.copyto(z, 0.0, where=sd < _DEGENERATE_STD)
     if not np.isfinite(z).all():
         raise ValueError("series contains non-finite values")
     return z
@@ -251,10 +252,9 @@ class AlphabetTable:
     float32 1NN filter, ``distance._nearest``: every entry is finite, and
     every nonzero float64 square of one lies within float32's normal
     range.  Tables built by :func:`make_alphabet_table` additionally
-    satisfy the Gaussian equal-probability layout.  Construction also
-    keeps the squared table that every word distance reads, ``_sq``
-    (float64) and ``_sq32`` (its float32 copy for the filter).  All four
-    arrays are read-only (see ``_read_only``).
+    satisfy the Gaussian equal-probability layout.  Construction keeps
+    the squared table, ``_sq``, and its float32 copy, ``_sq32``, for the
+    word distances; all four arrays are read-only (see ``_read_only``).
     """
 
     breakpoints: np.ndarray
