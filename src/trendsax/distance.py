@@ -93,10 +93,10 @@ def _nearest(a: np.ndarray, b: np.ndarray, sq_pair: np.ndarray, leave_one_out: b
     for its test scoring and all its ``nn1`` queries), and ``sq32`` is a
     table's ``_sq32``; either is built here when not given.
     ``leave_one_out`` scores ``a`` against itself (``b is a``) without the
-    diagonal.  A row chunk holds about ``_CHUNK_BUDGET``
-    values of ``E``, of ``P`` and of the refine matrix, and the refine
-    step gathers its pairs in smaller chunks, so memory stays bounded
-    however many rows either side has.
+    diagonal.  A row chunk holds about ``_CHUNK_BUDGET`` values of ``E``,
+    of ``P`` and of the refine matrix, and the refine step gathers its
+    pairs in smaller chunks, so memory stays bounded however many rows
+    either side has.
     Precondition: every nonzero entry of ``sq_pair`` rounds to a normal
     float32, or the float32 error bound fails.  ``AlphabetTable`` makes
     that an invariant of every table, so any table's ``_sq`` may come
