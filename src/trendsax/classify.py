@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from trendsax import distance
 from trendsax.core import (MAX_ALPHABET, AlphabetTable, SaxWord, _as_integers, _block_means, _symbol_matrices,
                            _symbol_matrix, make_alphabet_table)
 from trendsax.dataset import LabeledDataset
@@ -205,16 +206,25 @@ def tune_alphabet(train: LabeledDataset, scheme: str, m: int,
 def evaluate(train: LabeledDataset, test: LabeledDataset, scheme: str, m: int,
              alphabet_range: Iterable[int] = DEFAULT_ALPHABET_RANGE,
              dataset: str = "") -> EvaluationReport:
-    """Tune on the training split, then score 1NN accuracy on the test split."""
+    """Tune on the training split, then score 1NN accuracy on the test split.
+
+    The test split is scored in row chunks of ``distance._CHUNK_BUDGET //
+    m`` rows: block means, symbols and nearest training rows, one chunk
+    at a time, so the split's means and symbols are never held whole.
+    """
     if train.n != test.n:
         raise ValueError(f"train and test series lengths differ: {train.n} vs {test.n}")
     model, train_error = _tune(train, scheme, m, alphabet_range)
     seg = segment(scheme, test.n, m)
     words, table = model.train_words, model.table
-    test_rows = _symbol_matrix(_block_means(test._zrows, seg), table)
-    predicted = words.labels[_nearest(test_rows, words.rows, table._sq, h=words.one_hot, sq32=table._sq32)]
-    misclassified = int((predicted != test.labels).sum())
     total = len(test)
+    misclassified = 0
+    step = max(1, distance._CHUNK_BUDGET // seg.m)
+    for i0 in range(0, total, step):
+        # one expression, so a chunk's symbols are freed before the next chunk's means are taken
+        nearest = _nearest(_symbol_matrix(_block_means(test._zrows[i0:i0 + step], seg), table), words.rows,
+                           table._sq, h=words.one_hot, sq32=table._sq32)
+        misclassified += int((words.labels[nearest] != test.labels[i0:i0 + step]).sum())
     return EvaluationReport(
         dataset=dataset,
         scheme=scheme,

@@ -110,13 +110,25 @@ def _znormalize_rows(x: np.ndarray) -> np.ndarray:
     Each row is centred once, into the copy that is then scaled in place;
     its standard deviation takes the same sums, square, divide and
     ``sqrt`` from that copy as ``x.std`` does, so it has the same bits.
+    The squares are taken about ``_CHUNK_VALUES`` values at a time, so the
+    only full-size array is the result.  For finite ``x`` the result is
+    finite exactly when every row's standard deviation is: a non-finite
+    mean makes every centred value of its row, and so its standard
+    deviation, non-finite.
     """
     z = x - x.mean(axis=-1, keepdims=True)
-    sd = np.sqrt((z * z).mean(axis=-1, keepdims=True))
+    sd = np.empty(z.shape[:-1] + (1,))
+    rows, sums = z.reshape(-1, z.shape[-1]), sd.reshape(-1)
+    step = max(1, _CHUNK_VALUES // z.shape[-1])
+    for i0 in range(0, rows.shape[0], step):
+        c = rows[i0:i0 + step]
+        np.add.reduce(c * c, axis=-1, out=sums[i0:i0 + step])
+    sd /= z.shape[-1]
+    np.sqrt(sd, out=sd)
+    if not np.isfinite(sd).all():
+        raise ValueError("series contains non-finite values")
     np.divide(z, sd, out=z, where=sd >= _DEGENERATE_STD)
     np.copyto(z, 0.0, where=sd < _DEGENERATE_STD)
-    if not np.isfinite(z).all():
-        raise ValueError("series contains non-finite values")
     return z
 
 

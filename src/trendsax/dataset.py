@@ -132,9 +132,10 @@ def load_ucr(path) -> LabeledDataset:
 def _load_fast(path: Path) -> LabeledDataset:
     """numpy's C reader; ValueError for any file the line parser must judge.
 
-    A file holding any of ``_LINE_PARSER_CHARS``, a non-finite number, a
+    A file holding any of ``_LINE_PARSER_CHARS``, a non-finite label, a
     label more than 1e-6 from an integer or a table that ``LabeledDataset``
-    refuses (no values, a label outside int64) is left to the line parser.
+    refuses (no values, a non-finite value, a label outside int64) is left
+    to the line parser.
     """
     with path.open() as fh:
         first = next((line for line in fh if line.strip()), "")
@@ -146,7 +147,7 @@ def _load_fast(path: Path) -> LabeledDataset:
                        ndmin=2, dtype=np.float64)
     labels = np.round(table[:, 0])
     # finite first: an infinite label would warn in the subtraction
-    if not np.isfinite(table).all() or (np.abs(table[:, 0] - labels) > 1e-6).any():
+    if not np.isfinite(table[:, 0]).all() or (np.abs(table[:, 0] - labels) > 1e-6).any():
         raise ValueError("outside the checked subset of the grammar")
     table.flags.writeable = False  # the dataset keeps a view of it, not a copy
     return LabeledDataset(table[:, 1:], labels)

@@ -4,7 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from trendsax import core
+from test_distance import tracemalloc_peak
+from trendsax import classify, core, distance
 from trendsax.classify import (
     EvaluationReport,
     LabeledDataset,
@@ -271,6 +272,30 @@ class TestEvaluate:
         data = random_dataset(np.random.default_rng(97), 10, 16, n_classes=2)
         report = evaluate(data, data, "classic", 4.0, alphabet_range=(3, 4))
         assert type(report.m) is int and report == evaluate(data, data, "classic", 4, alphabet_range=(3, 4))
+
+    def test_scores_a_long_test_split_in_bounded_memory(self):
+        # a Mallat-shaped pair at m = 256: the split's means and symbols alone would be 9.6 MB
+        rng = np.random.default_rng(107)
+        train, test = (LabeledDataset(rng.normal(size=(rows, 1024)).cumsum(axis=1), rng.integers(1, 9, size=rows))
+                       for rows in (55, 2345))
+        for split in (train, test):
+            assert split._zrows.flags.c_contiguous  # z-normalized before tracing
+        assert tracemalloc_peak(evaluate, train, test, "classic", 256) < 7e6
+
+    @pytest.mark.parametrize("chunk_rows, chunks", [(1, [1] * 30), (7, [7, 7, 7, 7, 2])], ids=["one row", "seven rows"])
+    def test_row_chunks_give_the_same_report(self, monkeypatch, chunk_rows, chunks):
+        rng = np.random.default_rng(109)
+        train, test = (random_dataset(rng, rows, 64, n_classes=3, spread=2.0) for rows in (20, 30))
+        want = evaluate(train, test, "intertwine", 16, alphabet_range=range(3, 7))
+        sizes = []
+        def block_means(z, seg):
+            sizes.append(z.shape[0])
+            return core._block_means(z, seg)
+        monkeypatch.setattr(classify, "_block_means", block_means)
+        monkeypatch.setattr(distance, "_CHUNK_BUDGET", chunk_rows * 16)
+        assert evaluate(train, test, "intertwine", 16, alphabet_range=range(3, 7)) == want
+        # the training split once, then the test split's chunks
+        assert sizes == [20] + chunks
 
     def test_rejects_length_mismatch(self):
         rng = np.random.default_rng(103)

@@ -9,6 +9,7 @@ from scipy.special import ndtri
 
 import oracles
 import strategies
+from test_distance import tracemalloc_peak
 from trendsax import core
 from trendsax.core import (
     MAX_ALPHABET,
@@ -63,6 +64,19 @@ class TestZnormalize:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="^series contains non-finite values$"):
                 _znormalize_rows(rows)
+
+    def test_overflowing_variance_raises(self):
+        # a finite mean, but the sum of squares overflows, so the std is inf and every value would divide to 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="^series contains non-finite values$"):
+                znormalize([1e200, -1e200])
+            with pytest.raises(ValueError, match="^series contains non-finite values$"):
+                _znormalize_rows(np.array([[1.0, 2.0], [1e200, -1e200]]))
+
+    def test_holds_no_full_size_temporary(self):
+        # the result is the only full-size array: the squares are taken a row chunk at a time
+        x = np.random.default_rng(5).normal(size=(1380, 1639)).cumsum(axis=1)
+        assert tracemalloc_peak(_znormalize_rows, x) < 1.25 * x.nbytes
 
     @pytest.mark.parametrize("shape", [(256,), (1, 256), (2345, 1024), (1380, 1639)],
                              ids=["1-D", "one row", "mallat-like split", "cinc-like split"])
