@@ -18,7 +18,7 @@ import numpy as np
 
 from trendsax import distance
 from trendsax.core import (MAX_ALPHABET, AlphabetTable, SaxWord, _as_integers, _block_means, _symbol_matrices,
-                           _symbol_matrix, make_alphabet_table)
+                           make_alphabet_table)
 from trendsax.dataset import LabeledDataset
 from trendsax.distance import _check_compatible, _nearest, _one_hot
 from trendsax.segmentation import _check_scheme, segment
@@ -184,12 +184,13 @@ def _tune(train: LabeledDataset, scheme: str, m: int,
         raise ValueError("tuning needs at least 2 training instances")
     alphas = _normalized_alphabet_range(alphabet_range)
     seg = segment(scheme, train.n, m)
-    means = _block_means(train._zrows, seg)
+    means = _block_means(train.series, seg, *train._stats)
     tables = [make_alphabet_table(alpha) for alpha in alphas]
     errors = [_loocv_from_rows(rows, train.labels, table)
               for table, rows in zip(tables, _symbol_matrices(means, tables))]
     best = errors.index(min(errors))
-    words = _TrainingWords(_symbol_matrix(means, tables[best]), train.labels, alphas[best], seg.n_effective)
+    rows = next(_symbol_matrices(means, tables[best:best + 1]))
+    words = _TrainingWords(rows, train.labels, alphas[best], seg.n_effective)
     return TunedModel(scheme, words, tables[best]), errors[best]
 
 
@@ -197,8 +198,8 @@ def tune_alphabet(train: LabeledDataset, scheme: str, m: int,
                   alphabet_range: Iterable[int] = DEFAULT_ALPHABET_RANGE) -> TunedModel:
     """Pick the alphabet size minimizing leave-one-out error on ``train``.
 
-    The sweep shares one aggregation pass and one breakpoint search across
-    all candidate sizes and resolves ties toward the smallest alphabet.
+    The sweep shares one aggregation pass across all candidate sizes and
+    resolves ties toward the smallest alphabet.
     """
     return _tune(train, scheme, m, alphabet_range)[0]
 
@@ -208,9 +209,12 @@ def evaluate(train: LabeledDataset, test: LabeledDataset, scheme: str, m: int,
              dataset: str = "") -> EvaluationReport:
     """Tune on the training split, then score 1NN accuracy on the test split.
 
-    The test split is scored in row chunks of ``distance._CHUNK_BUDGET //
-    m`` rows: block means, symbols and nearest training rows, one chunk
-    at a time, so the split's means and symbols are never held whole.
+    Each split is held once, as its raw rows and their (N, 1) means and
+    standard deviations (``LabeledDataset._stats``); block means
+    z-normalize the rows they gather.  The test split is scored in row
+    chunks of ``distance._CHUNK_BUDGET // m`` rows: block means, symbols
+    and nearest training rows, one chunk at a time, so the split's
+    z-normalized values, means and symbols are never held whole.
     """
     if train.n != test.n:
         raise ValueError(f"train and test series lengths differ: {train.n} vs {test.n}")
@@ -219,12 +223,14 @@ def evaluate(train: LabeledDataset, test: LabeledDataset, scheme: str, m: int,
     words, table = model.train_words, model.table
     total = len(test)
     misclassified = 0
+    mean, sd = test._stats
     step = max(1, distance._CHUNK_BUDGET // seg.m)
     for i0 in range(0, total, step):
+        rows = slice(i0, i0 + step)
         # one expression, so a chunk's symbols are freed before the next chunk's means are taken
-        nearest = _nearest(_symbol_matrix(_block_means(test._zrows[i0:i0 + step], seg), table), words.rows,
-                           table._sq, h=words.one_hot, sq32=table._sq32)
-        misclassified += int((words.labels[nearest] != test.labels[i0:i0 + step]).sum())
+        nearest = _nearest(next(_symbol_matrices(_block_means(test.series[rows], seg, mean[rows], sd[rows]), [table])),
+                           words.rows, table._sq, h=words.one_hot, sq32=table._sq32)
+        misclassified += int((words.labels[nearest] != test.labels[rows]).sum())
     return EvaluationReport(
         dataset=dataset,
         scheme=scheme,

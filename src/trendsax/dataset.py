@@ -45,7 +45,11 @@ _LINE_PARSER_CHARS = "\v\f\x1c\x1d\x1e\x1f\x85\u2028\u2029"
 
 @dataclass(frozen=True, eq=False)
 class LabeledDataset:
-    """Uniform-length labeled series: ``series`` is (N, n), ``labels`` is (N,), both read-only."""
+    """Uniform-length labeled series: ``series`` is (N, n), ``labels`` is (N,), both read-only.
+
+    The raw ``series`` is the only full-size array a split holds; its
+    z-normalized rows are taken chunk by chunk from ``_stats``.
+    """
 
     series: np.ndarray
     labels: np.ndarray
@@ -78,11 +82,17 @@ class LabeledDataset:
         return self.series.shape[1]
 
     @cached_property
-    def _zrows(self) -> np.ndarray:
-        """The z-normalized rows, computed once on first use and shared by every scheme."""
-        z = core._znormalize_rows(self.series)
-        z.flags.writeable = False
-        return z
+    def _stats(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's mean and standard deviation, read-only (N, 1) arrays computed on first use.
+
+        ``core._block_means`` z-normalizes the rows it gathers with them, so
+        every scheme's block means come from ``series`` and these 2·N
+        values: the split is held once, with no z-normalized copy.
+        """
+        stats = core._row_stats(self.series)
+        for a in stats:
+            a.flags.writeable = False
+        return stats
 
 
 class UcrFormatError(ValueError):

@@ -278,8 +278,8 @@ class TestEvaluate:
         rng = np.random.default_rng(107)
         train, test = (LabeledDataset(rng.normal(size=(rows, 1024)).cumsum(axis=1), rng.integers(1, 9, size=rows))
                        for rows in (55, 2345))
-        for split in (train, test):
-            split._zrows  # z-normalized before tracing, so only the scoring is measured
+        # the row statistics are first taken inside the trace, so normalization is measured with the scoring;
+        # a z-normalized copy of the test split alone would be 19.2 MB
         assert tracemalloc_peak(evaluate, train, test, "classic", 256) < 7e6
 
     @pytest.mark.parametrize("chunk_rows, chunks", [(1, [1] * 30), (7, [7, 7, 7, 7, 2])],
@@ -289,9 +289,9 @@ class TestEvaluate:
         train, test = (random_dataset(rng, rows, 64, n_classes=3, spread=2.0) for rows in (20, 30))
         want = evaluate(train, test, "intertwine", 16, alphabet_range=range(3, 7))
         sizes = []
-        def block_means(z, seg):
-            sizes.append(z.shape[0])
-            return core._block_means(z, seg)
+        def block_means(x, seg, mean, sd):
+            sizes.append(x.shape[0])
+            return core._block_means(x, seg, mean, sd)
         monkeypatch.setattr(classify, "_block_means", block_means)
         monkeypatch.setattr(distance, "_CHUNK_BUDGET", chunk_rows * 16)
         assert evaluate(train, test, "intertwine", 16, alphabet_range=range(3, 7)) == want
@@ -346,25 +346,28 @@ class TestLabeledDataset:
 
     def test_each_split_is_normalized_once_for_all_schemes(self, monkeypatch):
         calls = []
-        normalize = core._znormalize_rows
+        row_stats = core._row_stats
 
         def counted(x):
             calls.append(x.shape)
-            return normalize(x)
+            return row_stats(x)
 
-        monkeypatch.setattr(core, "_znormalize_rows", counted)
+        monkeypatch.setattr(core, "_row_stats", counted)
         rng = np.random.default_rng(31)
         train, test = random_dataset(rng, 12, 32), random_dataset(rng, 9, 32)
         for scheme in SCHEMES:
             evaluate(train, test, scheme, 8, range(3, 6))
         assert calls == [(12, 32), (9, 32)]
 
-    def test_normalized_rows_are_read_only(self):
+    def test_row_statistics_are_cached_and_read_only(self):
         data = random_dataset(np.random.default_rng(32), 5, 16)
-        assert data._zrows is data._zrows
-        assert np.array_equal(data._zrows, [znormalize(row) for row in data.series])
-        with pytest.raises(ValueError):
-            data._zrows[0, 0] = 9.0
+        assert data._stats is data._stats
+        for stat, want in zip(data._stats, ([row.mean() for row in data.series], [row.std() for row in data.series]),
+                              strict=True):
+            assert stat.shape == (5, 1) and stat.dtype == np.float64
+            assert stat.tobytes() == np.array(want).tobytes()
+            with pytest.raises(ValueError):
+                stat[0, 0] = 9.0
 
     def test_overflowing_rows_construct_and_fail_on_first_use(self):
         # finite values whose row sum overflows, so the mean and the std do

@@ -78,6 +78,11 @@ class TestZnormalize:
         x = np.random.default_rng(5).normal(size=(1380, 1639)).cumsum(axis=1)
         assert tracemalloc_peak(_znormalize_rows, x) < 1.25 * x.nbytes
 
+    def test_row_statistics_hold_no_full_size_temporary(self):
+        # a cinc-like split: the centred squares are taken a row chunk at a time
+        x = np.random.default_rng(6).normal(size=(1380, 1639)).cumsum(axis=1)
+        assert tracemalloc_peak(core._row_stats, x) < x.nbytes / 10
+
     @pytest.mark.parametrize("shape", [(256,), (1, 256), (2345, 1024), (1380, 1639)],
                              ids=["1-D", "one row", "mallat-like split", "cinc-like split"])
     def test_bits_equal_numpy_std_row_by_row(self, shape):
@@ -294,6 +299,19 @@ class TestBlockMeans:
             assert np.array_equal(_block_means(_znormalize_rows(series), seg), want), (seg.scheme, rows, n, m)
         assert long_blocks >= 40
 
+    @pytest.mark.parametrize("chunk_values", [1, 500, 2**16])
+    def test_row_statistics_give_the_means_of_the_normalized_rows(self, monkeypatch, chunk_values):
+        # raw rows z-normalized chunk by chunk inside the gather keep every bit of the normalized copy's means
+        monkeypatch.setattr(core, "_CHUNK_VALUES", chunk_values)
+        rng = np.random.default_rng(14)
+        for case, (m, w) in enumerate([(1, 9), (2, 8), (5, 13), (16, 4), (3, 33)]):
+            series = rng.standard_normal((13, m * w + 2)).cumsum(axis=1) * 10.0 ** (case - 2)
+            series[::4] = series[::4, :1]  # constant rows take the zero branch
+            series = series[:, 1:]  # a view, as load_ucr returns
+            seg = segment(SCHEMES[case % len(SCHEMES)], m * w + 1, m)
+            got = _block_means(series, seg, *core._row_stats(series))
+            assert got.tobytes() == _block_means(_znormalize_rows(series), seg).tobytes(), (m, w)
+
     def test_memory_stays_bounded(self):
         z = np.random.default_rng(13).standard_normal((2000, 1024))
         seg = segment("split", 1024, 256)
@@ -343,6 +361,27 @@ class TestSymbolize:
         tracemalloc.start()
         try:
             symbols = core._symbol_matrix(means, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * symbols.nbytes
+
+    def test_counting_equals_the_search_at_every_breakpoint(self):
+        table = make_alphabet_table(MAX_ALPHABET)
+        bp = table.breakpoints
+        means = np.stack([bp, np.nextafter(bp, -np.inf), np.nextafter(bp, np.inf)])
+        rows = next(core._symbol_matrices(means, [table]))
+        assert rows.dtype == np.int64 and np.array_equal(rows, core._symbol_matrix(means, table))
+        assert rows[0].tolist() == rows[1].tolist() == list(range(MAX_ALPHABET - 1))
+        assert rows[2].tolist() == list(range(1, MAX_ALPHABET))
+
+    def test_symbol_matrices_allocate_their_result_once(self):
+        # the same split as above, symbolized by counting: a uint8 count and its comparisons are 1/8 each
+        means = np.random.default_rng(98).standard_normal((2345, 256))
+        table = make_alphabet_table(10)
+        tracemalloc.start()
+        try:
+            symbols = next(core._symbol_matrices(means, [table]))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
