@@ -379,13 +379,7 @@ class TestSymbolize:
         # the same split as above, symbolized by counting: a uint8 count and its comparisons are 1/8 each
         means = np.random.default_rng(98).standard_normal((2345, 256))
         table = make_alphabet_table(10)
-        tracemalloc.start()
-        try:
-            symbols = next(core._symbol_matrices(means, [table]))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * symbols.nbytes
+        assert tracemalloc_peak(lambda: next(core._symbol_matrices(means, [table]))) < 1.5 * means.size * 8
 
     def test_word_metadata(self):
         table = make_alphabet_table(5)
