@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from trendsax import distance
-from trendsax.core import (MAX_ALPHABET, AlphabetTable, SaxWord, _as_integers, _block_means, _symbol_matrices,
-                           make_alphabet_table)
+from trendsax.core import MAX_ALPHABET, AlphabetTable, SaxWord, _as_integers, _count_symbols, make_alphabet_table
 from trendsax.dataset import LabeledDataset
 from trendsax.distance import _check_compatible, _nearest, _one_hot
 from trendsax.segmentation import _check_scheme, segment
@@ -149,12 +148,12 @@ def nn1(query: SaxWord, train_words: Sequence[tuple[SaxWord, int]], table: Alpha
     """
     train_words = _fitted_words(train_words, table)
     _check_compatible(query, train_words, table)
-    nearest = _nearest(query.symbols[None], train_words.rows, table._sq, h=train_words.one_hot, sq32=table._sq32)
+    nearest = _nearest(query.symbols[None], train_words.rows, table, h=train_words.one_hot)
     return int(train_words.labels[nearest[0]])
 
 
 def _loocv_from_rows(rows: np.ndarray, labels: np.ndarray, table: AlphabetTable) -> float:
-    predicted = labels[_nearest(rows, rows, table._sq, leave_one_out=True, sq32=table._sq32)]
+    predicted = labels[_nearest(rows, rows, table, leave_one_out=True)]
     return int((predicted != labels).sum()) / labels.size
 
 
@@ -184,12 +183,11 @@ def _tune(train: LabeledDataset, scheme: str, m: int,
         raise ValueError("tuning needs at least 2 training instances")
     alphas = _normalized_alphabet_range(alphabet_range)
     seg = segment(scheme, train.n, m)
-    means = _block_means(train.series, seg, *train._stats)
+    means = train._means(seg)
     tables = [make_alphabet_table(alpha) for alpha in alphas]
-    errors = [_loocv_from_rows(rows, train.labels, table)
-              for table, rows in zip(tables, _symbol_matrices(means, tables))]
+    errors = [_loocv_from_rows(_count_symbols(means, table), train.labels, table) for table in tables]
     best = errors.index(min(errors))
-    rows = next(_symbol_matrices(means, tables[best:best + 1]))
+    rows = _count_symbols(means, tables[best])
     words = _TrainingWords(rows, train.labels, alphas[best], seg.n_effective)
     return TunedModel(scheme, words, tables[best]), errors[best]
 
@@ -198,7 +196,8 @@ def tune_alphabet(train: LabeledDataset, scheme: str, m: int,
                   alphabet_range: Iterable[int] = DEFAULT_ALPHABET_RANGE) -> TunedModel:
     """Pick the alphabet size minimizing leave-one-out error on ``train``.
 
-    The sweep shares one aggregation pass across all candidate sizes and
+    The sweep shares one aggregation pass, ``LabeledDataset._means``,
+    across all candidate sizes, counts each size's symbols from it and
     resolves ties toward the smallest alphabet.
     """
     return _tune(train, scheme, m, alphabet_range)[0]
@@ -209,12 +208,12 @@ def evaluate(train: LabeledDataset, test: LabeledDataset, scheme: str, m: int,
              dataset: str = "") -> EvaluationReport:
     """Tune on the training split, then score 1NN accuracy on the test split.
 
-    Each split is held once, as its raw rows and their (N, 1) means and
-    standard deviations (``LabeledDataset._stats``); block means
-    z-normalize the rows they gather.  The test split is scored in row
-    chunks of ``distance._CHUNK_BUDGET // m`` rows: block means, symbols
-    and nearest training rows, one chunk at a time, so the split's
-    z-normalized values, means and symbols are never held whole.
+    Each split is held once, as its raw rows and their row statistics;
+    ``LabeledDataset._means`` gives the z-normalized block means of a row
+    range.  The test split is scored in row chunks of
+    ``distance._CHUNK_BUDGET // m`` rows: block means, symbols and nearest
+    training rows, one chunk at a time, so the split's z-normalized
+    values, means and symbols are never held whole.
     """
     if train.n != test.n:
         raise ValueError(f"train and test series lengths differ: {train.n} vs {test.n}")
@@ -223,13 +222,11 @@ def evaluate(train: LabeledDataset, test: LabeledDataset, scheme: str, m: int,
     words, table = model.train_words, model.table
     total = len(test)
     misclassified = 0
-    mean, sd = test._stats
     step = max(1, distance._CHUNK_BUDGET // seg.m)
     for i0 in range(0, total, step):
         rows = slice(i0, i0 + step)
         # one expression, so a chunk's symbols are freed before the next chunk's means are taken
-        nearest = _nearest(next(_symbol_matrices(_block_means(test.series[rows], seg, mean[rows], sd[rows]), [table])),
-                           words.rows, table._sq, h=words.one_hot, sq32=table._sq32)
+        nearest = _nearest(_count_symbols(test._means(seg, rows), table), words.rows, table, h=words.one_hot)
         misclassified += int((words.labels[nearest] != test.labels[rows]).sum())
     return EvaluationReport(
         dataset=dataset,

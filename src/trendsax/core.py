@@ -10,7 +10,6 @@ the Euclidean distance between the raw series.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -183,29 +182,28 @@ def _block_means(x: np.ndarray, seg: Segmentation, mean: np.ndarray | None = Non
 
 
 def _symbol_matrix(means: np.ndarray, table: AlphabetTable) -> np.ndarray:
-    """:func:`symbolize` of every row of ``means`` at once; read-only int64 symbols, same shape."""
+    """:func:`symbolize` of every row of ``means``, read-only int64; a split's are counted by :func:`_count_symbols`."""
     symbols = np.searchsorted(table.breakpoints, means, side="left").astype(np.int64, copy=False)
     symbols.flags.writeable = False
     return symbols
 
 
-def _symbol_matrices(means: np.ndarray, tables: Sequence[AlphabetTable]) -> Iterator[np.ndarray]:
-    """The read-only int64 symbols of :func:`_symbol_matrix` for ``means`` under each of ``tables`` in turn.
+def _count_symbols(means: np.ndarray, table: AlphabetTable) -> np.ndarray:
+    """The read-only int64 symbols of :func:`_symbol_matrix` for ``means`` under ``table``.
 
-    A mean's symbol is the number of its table's breakpoints strictly below
-    it, so each table counts ``means > b`` over its breakpoints into a
-    uint8 array, which its at most ``MAX_ALPHABET - 1`` breakpoints cannot
+    A mean's symbol is the number of the table's breakpoints strictly below
+    it, so ``means > b`` is counted over its breakpoints into a uint8
+    array, which its at most ``MAX_ALPHABET - 1`` breakpoints cannot
     overflow.  On a split's means that is several times faster than
     ``np.searchsorted``, which :func:`_symbol_matrix` keeps for single
     words: on 64 means the search takes about 3 µs, the count 7-29 µs.
     """
-    for table in tables:
-        count = np.zeros(means.shape, dtype=np.uint8)
-        for b in table.breakpoints:
-            count += means > b
-        symbols = count.astype(np.int64)
-        symbols.flags.writeable = False
-        yield symbols
+    count = np.zeros(means.shape, dtype=np.uint8)
+    for b in table.breakpoints:
+        count += means > b
+    symbols = count.astype(np.int64)
+    symbols.flags.writeable = False
+    return symbols
 
 
 # Rational approximation coefficients for the standard-normal quantile

@@ -32,6 +32,7 @@ import numpy as np
 
 from trendsax import core
 from trendsax.core import _as_integers, _read_only
+from trendsax.segmentation import Segmentation
 
 __all__ = ["DatasetPair", "LabeledDataset", "UcrFormatError", "load_dataset_pair", "load_ucr"]
 
@@ -47,8 +48,8 @@ _LINE_PARSER_CHARS = "\v\f\x1c\x1d\x1e\x1f\x85\u2028\u2029"
 class LabeledDataset:
     """Uniform-length labeled series: ``series`` is (N, n), ``labels`` is (N,), both read-only.
 
-    The raw ``series`` is the only full-size array a split holds; its
-    z-normalized rows are taken chunk by chunk from ``_stats``.
+    The raw ``series`` is the only full-size array a split holds; ``_means``
+    takes the z-normalized block means of any row range from it and ``_stats``.
     """
 
     series: np.ndarray
@@ -85,14 +86,19 @@ class LabeledDataset:
     def _stats(self) -> tuple[np.ndarray, np.ndarray]:
         """Each row's mean and standard deviation, read-only (N, 1) arrays computed on first use.
 
-        ``core._block_means`` z-normalizes the rows it gathers with them, so
-        every scheme's block means come from ``series`` and these 2·N
-        values: the split is held once, with no z-normalized copy.
+        ``_means`` z-normalizes the rows it gathers with them, so every
+        scheme's block means come from ``series`` and these 2·N values: the
+        split is held once, with no z-normalized copy.
         """
         stats = core._row_stats(self.series)
         for a in stats:
             a.flags.writeable = False
         return stats
+
+    def _means(self, seg: Segmentation, rows: slice = slice(None)) -> np.ndarray:
+        """``core._block_means`` of ``seg`` over ``series[rows]``, z-normalized with their ``_stats``."""
+        mean, sd = self._stats
+        return core._block_means(self.series[rows], seg, mean[rows], sd[rows])
 
 
 class UcrFormatError(ValueError):

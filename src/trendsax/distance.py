@@ -62,13 +62,13 @@ def _one_hot(b: np.ndarray, alpha: int) -> np.ndarray:
     return np.take(np.eye(alpha, dtype=np.float32), b, axis=0).reshape(b.shape[0], -1)
 
 
-def _nearest(a: np.ndarray, b: np.ndarray, sq_pair: np.ndarray, leave_one_out: bool = False,
-             h: np.ndarray | None = None, sq32: np.ndarray | None = None) -> np.ndarray:
-    """Index of each ``a`` row's nearest ``b`` row by ``_dist_sq``, ties to the first index.
+def _nearest(a: np.ndarray, b: np.ndarray, table: AlphabetTable, leave_one_out: bool = False,
+             h: np.ndarray | None = None) -> np.ndarray:
+    """Index of each ``a`` row's nearest ``b`` row by ``_dist_sq`` over ``table``, ties to the first index.
 
     Filter and refine (GEMINI, Faloutsos et al., SIGMOD 1994).  The filter
     scores a row chunk against every ``b`` row in one float32 matrix
-    product ``P = E @ H.T``: ``E[i, k·α + t] = sq_pair[a_ik, t]`` and ``H``
+    product ``P = E @ H.T``: ``E[i, k·α + t] = table._sq[a_ik, t]`` and ``H``
     is ``_one_hot(b)``, so ``P[i, j]`` is the sum of the same m entries as
     ``_dist_sq``.  Every term is non-negative, so (Higham, *Accuracy and
     Stability of Numerical Algorithms*, 2nd ed., §3.1) ``P`` lies within
@@ -88,10 +88,10 @@ def _nearest(a: np.ndarray, b: np.ndarray, sq_pair: np.ndarray, leave_one_out: b
     The refine step writes the ``_dist_sq`` of every other row's kept pairs
     into a (tied rows, N_b) float64 matrix that starts at +inf, and its
     ``argmin`` along each row, the first exact minimum, decides them.
-    ``E`` is gathered with ``np.take`` from the float32 table ``sq32``.
+    ``E`` is gathered with ``np.take`` from the float32 table ``table._sq32``.
     ``h`` is ``H`` when the caller holds it (a tuned model builds it once
-    for its test scoring and all its ``nn1`` queries), and ``sq32`` is a
-    table's ``_sq32``; either is built here when not given.
+    for its test scoring and all its ``nn1`` queries); it is built here
+    when not given.
     ``leave_one_out`` scores ``a`` against itself (``b is a``) without the
     diagonal.  A row chunk holds about ``_CHUNK_BUDGET`` values of ``E``,
     of ``P`` and of the refine matrix, and the refine step gathers its
@@ -99,17 +99,14 @@ def _nearest(a: np.ndarray, b: np.ndarray, sq_pair: np.ndarray, leave_one_out: b
     either side has.  ``H`` is not chunked: it is held whole, N_b × m·α
     float32 values, so the filter's memory grows with the ``b`` rows and
     with α (54.2 MB for 1,000 rows of m = 677 at α = 20).
-    Precondition: every nonzero entry of ``sq_pair`` rounds to a normal
-    float32, or the float32 error bound fails.  ``AlphabetTable`` makes
-    that an invariant of every table, so any table's ``_sq`` may come
-    here.
+    Precondition: every nonzero squared entry rounds to a normal float32,
+    or the float32 error bound fails.  ``AlphabetTable`` makes that an
+    invariant of every table, so any table may come here.
     """
-    alpha, (n_b, m) = sq_pair.shape[0], b.shape
+    alpha, (n_b, m) = table.alphabet_size, b.shape
     width = m * alpha
     g64, g32 = _gamma(m, 2.0**-53), _gamma(width + 1, 2.0**-24)
     ratio = np.float64((1 + g64) * (1 + g32) / ((1 - g64) * (1 - g32)))
-    if sq32 is None:
-        sq32 = sq_pair.astype(np.float32)
     if h is None:
         h = _one_hot(b, alpha)
     arg = np.empty(a.shape[0], dtype=np.int64)
@@ -119,7 +116,7 @@ def _nearest(a: np.ndarray, b: np.ndarray, sq_pair: np.ndarray, leave_one_out: b
     for i0 in range(0, a.shape[0], step):
         i1 = min(i0 + step, a.shape[0])
         chunk = np.arange(i1 - i0)
-        p = np.take(sq32, a[i0:i1], axis=0).reshape(i1 - i0, width) @ h.T
+        p = np.take(table._sq32, a[i0:i1], axis=0).reshape(i1 - i0, width) @ h.T
         if leave_one_out:
             p[chunk, chunk + i0] = np.inf
         first = p.argmin(axis=1)
@@ -135,7 +132,7 @@ def _nearest(a: np.ndarray, b: np.ndarray, sq_pair: np.ndarray, leave_one_out: b
         d2 = np.full((tied.size, n_b), np.inf)
         for k0 in range(0, rows.size, pairs):
             k = slice(k0, k0 + pairs)
-            d2[rows[k], cols[k]] = _dist_sq(a[i0 + tied[rows[k]]], b[cols[k]], sq_pair)
+            d2[rows[k], cols[k]] = _dist_sq(a[i0 + tied[rows[k]]], b[cols[k]], table._sq)
         arg[i0 + tied] = d2.argmin(axis=1)
     return arg
 

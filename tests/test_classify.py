@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import oracles
 from test_distance import tracemalloc_peak
-from trendsax import classify, core, distance
+from trendsax import core, distance
 from trendsax.classify import (
     EvaluationReport,
     LabeledDataset,
@@ -288,11 +288,13 @@ class TestEvaluate:
         rng = np.random.default_rng(109)
         train, test = (random_dataset(rng, rows, 64, n_classes=3, spread=2.0) for rows in (20, 30))
         want = evaluate(train, test, "intertwine", 16, alphabet_range=range(3, 7))
-        sizes = []
-        def block_means(x, seg, mean, sd):
+        sizes, block_means = [], core._block_means
+
+        def spy(x, seg, mean, sd):
             sizes.append(x.shape[0])
-            return core._block_means(x, seg, mean, sd)
-        monkeypatch.setattr(classify, "_block_means", block_means)
+            return block_means(x, seg, mean, sd)
+
+        monkeypatch.setattr(core, "_block_means", spy)
         monkeypatch.setattr(distance, "_CHUNK_BUDGET", chunk_rows * 16)
         assert evaluate(train, test, "intertwine", 16, alphabet_range=range(3, 7)) == want
         # the training split once, then the test split's chunks

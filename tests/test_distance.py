@@ -179,8 +179,8 @@ class TestKernelAtScale:
         monkeypatch.setattr(distance, "_CHUNK_BUDGET", chunk_rows * a.shape[0])
         d2 = _dist_sq(a[:, None], a[None], sq)
         np.fill_diagonal(d2, np.inf)
-        assert np.array_equal(_nearest(a, a, sq, leave_one_out=True), np.argmin(d2, axis=1))
-        test_nearest = _nearest(b, a, sq)
+        assert np.array_equal(_nearest(a, a, table, leave_one_out=True), np.argmin(d2, axis=1))
+        test_nearest = _nearest(b, a, table)
         assert np.array_equal(test_nearest, np.argmin(_dist_sq(b[:, None], a[None], sq), axis=1))
         error, nn1_labels = oracle_answers(alpha)
         assert _loocv_from_rows(a, labels, table) == error
@@ -202,7 +202,7 @@ class TestKernelAtScale:
         # an unchunked leave-one-out holds two 2000 x 2000 float64 arrays, 64 MB
         assert tracemalloc_peak(_loocv_from_rows, rows, labels, table) < 8e6
         # unchunked test scoring would hold two 2000 x 1000 arrays, 32 MB
-        assert tracemalloc_peak(_nearest, rows, rows[:1000], table.pair_dist**2) < 8e6
+        assert tracemalloc_peak(_nearest, rows, rows[:1000], table) < 8e6
 
 
 def oracle_nearest(queries, rows, ref_table, leave_one_out=False):
@@ -233,11 +233,11 @@ def count_scored_pairs(monkeypatch):
 
 
 def positive_tie_case():
-    """120 rows at alpha = 3 and the squared table; a distance counts the rows' (0, 2)
+    """120 rows at alpha = 3 and their table; a distance counts the rows' (0, 2)
     pairs, about 10 here, so many rows tie exactly at a minimum above 0."""
     rng = np.random.default_rng(128)
     a = rng.choice(3, size=(120, 128), p=[0.2, 0.6, 0.2])
-    return a, make_alphabet_table(3).pair_dist**2
+    return a, make_alphabet_table(3)
 
 
 class TestPrefilter:
@@ -251,10 +251,10 @@ class TestPrefilter:
         b = rng.integers(0, alpha, size=(25, m))
         table = make_alphabet_table(alpha)
         sq, ref_table = table.pair_dist**2, oracles.pair_table(list(table.breakpoints))
-        loo = _nearest(a, a, sq, leave_one_out=True)
+        loo = _nearest(a, a, table, leave_one_out=True)
         assert np.array_equal(loo, exact_nearest(a, a, sq, leave_one_out=True))
         assert loo.tolist() == oracle_nearest(a, a, ref_table, leave_one_out=True)
-        nearest = _nearest(b, a, sq)
+        nearest = _nearest(b, a, table)
         assert np.array_equal(nearest, exact_nearest(b, a, sq))
         assert nearest.tolist() == oracle_nearest(b, a, ref_table)
 
@@ -265,12 +265,13 @@ class TestPrefilter:
         rng = np.random.default_rng(m)
         edge = m**-0.5  # about two (0, 2) pairs per distance
         a = rng.choice(3, size=(120, m), p=[edge, 1 - 2 * edge, edge])
-        sq = make_alphabet_table(3).pair_dist**2
+        table = make_alphabet_table(3)
+        sq = table.pair_dist**2
         d2 = _dist_sq(a[:, None], a[None], sq)
         np.fill_diagonal(d2, np.inf)
         assert ((d2 == d2.min(axis=1, keepdims=True)).sum(axis=1) > 1).mean() > 0.5
-        assert np.array_equal(_nearest(a, a, sq, leave_one_out=True), np.argmin(d2, axis=1))
-        assert np.array_equal(_nearest(a[:30], a[30:], sq), exact_nearest(a[:30], a[30:], sq))
+        assert np.array_equal(_nearest(a, a, table, leave_one_out=True), np.argmin(d2, axis=1))
+        assert np.array_equal(_nearest(a[:30], a[30:], table), exact_nearest(a[:30], a[30:], sq))
 
     def test_separated_rows_are_decided_by_the_bound_alone(self, monkeypatch):
         rng = np.random.default_rng(26)
@@ -281,7 +282,7 @@ class TestPrefilter:
         want_loo = exact_nearest(a, a, sq, leave_one_out=True)
         want_test = exact_nearest(b, a, sq)
         scored = count_scored_pairs(monkeypatch)
-        loo, nearest = _nearest(a, a, sq, leave_one_out=True), _nearest(b, a, sq)
+        loo, nearest = _nearest(a, a, table, leave_one_out=True), _nearest(b, a, table)
         assert scored == [0]
         assert np.array_equal(loo, want_loo)
         assert loo.tolist() == oracle_nearest(a, a, ref_table, leave_one_out=True)
@@ -290,11 +291,11 @@ class TestPrefilter:
 
     def test_tied_rows_are_rescored(self, monkeypatch):
         # exact ties above 0 keep two or more columns, so the exact sum decides
-        a, sq = positive_tie_case()
-        d2 = _dist_sq(a[:, None], a[None], sq)
+        a, table = positive_tie_case()
+        d2 = _dist_sq(a[:, None], a[None], table.pair_dist**2)
         np.fill_diagonal(d2, np.inf)
         scored = count_scored_pairs(monkeypatch)
-        assert np.array_equal(_nearest(a, a, sq, leave_one_out=True), np.argmin(d2, axis=1))
+        assert np.array_equal(_nearest(a, a, table, leave_one_out=True), np.argmin(d2, axis=1))
         low = d2.min(axis=1, keepdims=True)
         tied_rows = int((((d2 == low).sum(axis=1) > 1) & (low[:, 0] > 0)).sum())
         assert scored[0] >= 2 * tied_rows > 0
@@ -306,24 +307,25 @@ class TestPrefilter:
         rng = np.random.default_rng(128)
         edge = 128**-0.5
         a = rng.choice(3, size=(120, 128), p=[edge, 1 - 2 * edge, edge])
-        sq = make_alphabet_table(3).pair_dist**2
+        table = make_alphabet_table(3)
+        sq = table.pair_dist**2
         d2 = _dist_sq(a[:, None], a[None], sq)
         np.fill_diagonal(d2, np.inf)
         assert (d2.min(axis=1) == 0).all() and ((d2 == 0).sum(axis=1) > 1).mean() > 0.9
         want_test = exact_nearest(a[:30], a[30:], sq)
         scored = count_scored_pairs(monkeypatch)
-        assert np.array_equal(_nearest(a, a, sq, leave_one_out=True), np.argmin(d2, axis=1))
-        assert np.array_equal(_nearest(a[:30], a[30:], sq), want_test)
+        assert np.array_equal(_nearest(a, a, table, leave_one_out=True), np.argmin(d2, axis=1))
+        assert np.array_equal(_nearest(a[:30], a[30:], table), want_test)
         assert scored == [0]
 
     def test_leave_one_out_never_picks_the_row_itself(self):
         # duplicate rows sit at distance 0 from each other and from themselves
         rng = np.random.default_rng(81)
         a = rng.integers(0, 26, size=(30, 64))[rng.integers(0, 10, size=30)]
-        sq = make_alphabet_table(26).pair_dist**2
-        loo = _nearest(a, a, sq, leave_one_out=True)
+        table = make_alphabet_table(26)
+        loo = _nearest(a, a, table, leave_one_out=True)
         assert (loo != np.arange(30)).all()
-        assert np.array_equal(loo, exact_nearest(a, a, sq, leave_one_out=True))
+        assert np.array_equal(loo, exact_nearest(a, a, table.pair_dist**2, leave_one_out=True))
 
     @pytest.mark.parametrize("alpha, m", [(6, 200), (26, 409)])
     def test_permuted_near_ties_follow_the_exact_sum(self, alpha, m):
@@ -333,7 +335,7 @@ class TestPrefilter:
         # in other orders, so the exact sums differ only in their last bits and
         # the products by a few float32 steps
         rng = np.random.default_rng(alpha + m)
-        sq = make_alphabet_table(alpha).pair_dist**2
+        table = make_alphabet_table(alpha)
         pattern = rng.integers(0, alpha, size=m)
         queries = np.stack([rng.permutation(alpha)[pattern] for _ in range(16)])
         base = rng.integers(0, alpha, size=m)
@@ -341,9 +343,9 @@ class TestPrefilter:
         for symbol in range(alpha):
             at = np.flatnonzero(pattern == symbol)
             rows[:, at] = base[at][rng.permuted(np.tile(np.arange(at.size), (200, 1)), axis=1)]
-        d2 = _dist_sq(queries[:, None], rows[None], sq)
+        d2 = _dist_sq(queries[:, None], rows[None], table.pair_dist**2)
         assert all(np.unique(d).size > 1 for d in d2)
-        assert np.array_equal(_nearest(queries, rows, sq), np.argmin(d2, axis=1))
+        assert np.array_equal(_nearest(queries, rows, table), np.argmin(d2, axis=1))
 
 
 class TestNn1Filter:
@@ -388,9 +390,9 @@ class TestNn1Filter:
         assert built == [a.shape] * 2
 
     def test_tied_queries_are_refined_to_the_oracle(self, monkeypatch):
-        a, sq = positive_tie_case()
+        a, table = positive_tie_case()
         train, queries = a[:90], a[90:]
-        d2 = _dist_sq(queries[:, None], train[None], sq)
+        d2 = _dist_sq(queries[:, None], train[None], table.pair_dist**2)
         low = d2.min(axis=1, keepdims=True)
         assert (((d2 == low).sum(axis=1) > 1) & (low[:, 0] > 0)).mean() > 0.2
         model = self.model_of(train, 3)

@@ -143,5 +143,41 @@ def test_finds_a_squared_pair_dist():
 
 @pytest.mark.parametrize("path", [path for path in SOURCES if path.stem != "core"], ids=lambda path: path.name)
 def test_only_the_table_squares_its_distances(path):
-    # AlphabetTable builds _sq and _sq32 once; every other module reads them
+    # AlphabetTable builds _sq and _sq32 once; the word distances read them
     assert pair_dist_squares(path.read_text()) == []
+
+
+# an internal format and the modules that may use it: its owner and the layer that
+# consumes it; the bound audit takes block means of raw pairs, so distance may too
+FORMAT_USERS = {
+    "_sq": {"core", "distance"},
+    "_sq32": {"core", "distance"},
+    "_stats": {"core", "dataset"},
+    "_row_stats": {"core", "dataset"},
+    "_block_means": {"core", "dataset", "distance"},
+}
+
+
+def names_used(source: str) -> set[str]:
+    """Names that ``source`` loads, imports from a module, or reaches as an attribute."""
+    used = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    return used
+
+
+def test_finds_used_names():
+    source = ("from trendsax.core import _block_means as means\nx = t._sq\nt._sq32 = x\n"
+              "def _stats():\n    return _row_stats\n_unread = 1\n")
+    assert names_used(source) == {"_block_means", "t", "_sq", "_sq32", "x", "_row_stats"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_each_format_is_used_only_by_its_owners(path):
+    used = names_used(path.read_text())
+    assert [name for name, users in FORMAT_USERS.items() if name in used and path.stem not in users] == []
