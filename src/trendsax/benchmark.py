@@ -160,7 +160,7 @@ def _row_winners(row: BenchmarkRow) -> list[tuple[str, EvaluationReport, bool]]:
     best = BenchmarkMatrix.row_min(row)
     # SCHEMES.index raises ValueError for a scheme the library does not define
     ordered = sorted(row.reports.items(), key=lambda item: SCHEMES.index(item[0]))
-    return [(scheme, report, report.test_error == best) for scheme, report in ordered]
+    return [(scheme, report, bool(report.test_error == best)) for scheme, report in ordered]
 
 
 def _count_wins(rows: tuple[BenchmarkRow, ...], schemes: tuple[str, ...]) -> dict[str, int]:
@@ -210,7 +210,7 @@ def _csv_text(header: Iterable[object], rows: Iterable[Iterable[object]]) -> str
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows([repr(v) if isinstance(v, float) else v for v in row] for row in rows)
+    writer.writerows(rows)
     return out.getvalue()
 
 

@@ -36,7 +36,7 @@ MAX_ALPHABET = 26  # symbols render as letters a..z
 # below this population standard deviation a series is treated as constant
 _DEGENERATE_STD = 1e-12
 
-# values gathered at once by ``_block_means``
+# values that ``_row_stats`` squares, and ``_block_means`` gathers, at once
 _CHUNK_VALUES = 2**16
 
 
@@ -98,9 +98,15 @@ def znormalize(values) -> np.ndarray:
     Normalized copy.  A series whose population standard deviation is
     below 1e-12 is treated as constant and maps to all zeros, so flat
     inputs never blow up downstream.  Raises ValueError if a value is not
-    finite or the mean or standard deviation overflows.
+    finite or the mean or standard deviation overflows.  The steps are
+    those :func:`_block_means` takes on a split's rows: centre by the
+    :func:`_row_stats` into the copy, then :func:`_scale` it in place.
     """
-    return _znormalize_rows(_as_series(values))
+    x = _as_series(values)
+    mean, sd = _row_stats(x)
+    z = x - mean
+    _scale(z, sd)
+    return z
 
 
 def _row_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -113,7 +119,9 @@ def _row_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Raises ValueError unless every standard deviation is finite.  For
     finite ``x`` that also covers the means and the z-normalized values: a
     non-finite mean makes every centred value of its row, and so its
-    standard deviation, non-finite.
+    standard deviation, non-finite.  They serve :func:`znormalize` for one
+    series and, cached as ``LabeledDataset._stats``, :func:`_block_means`
+    for a split.
     """
     n = x.shape[-1]
     # x.mean's own steps, without its Python-level overhead (about 2 µs a call)
@@ -139,18 +147,6 @@ def _scale(d: np.ndarray, sd: np.ndarray) -> None:
     np.copyto(d, 0.0, where=sd < _DEGENERATE_STD)
 
 
-def _znormalize_rows(x: np.ndarray) -> np.ndarray:
-    """:func:`znormalize` along the last axis, each row on its own, from its :func:`_row_stats`.
-
-    Each row is centred once, into the copy that is then scaled in place,
-    so the only full-size array is the result.
-    """
-    mean, sd = _row_stats(x)
-    z = x - mean
-    _scale(z, sd)
-    return z
-
-
 def _block_means(x: np.ndarray, seg: Segmentation, mean: np.ndarray | None = None,
                  sd: np.ndarray | None = None) -> np.ndarray:
     """Read-only (N, m) block means of ``seg`` over every row of ``x``, the one definition behind :func:`paa`.
@@ -162,8 +158,8 @@ def _block_means(x: np.ndarray, seg: Segmentation, mean: np.ndarray | None = Non
     adds pairwise whenever that axis ends up innermost, as it does for m == 1.
     Given the rows' (N, 1) :func:`_row_stats` ``mean`` and ``sd``, each
     gathered chunk is first z-normalized in place, value by value as
-    :func:`_znormalize_rows` does, so the means of a split's raw rows have
-    the bits of the means of its z-normalized copy, which never exists.
+    :func:`znormalize` does, so the means of a split's raw rows have the
+    bits of the means of its rows z-normalized one by one, with no copy.
     """
     out = np.empty((x.shape[0], seg.m))
     step = max(1, _CHUNK_VALUES // seg.n_effective)

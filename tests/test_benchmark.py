@@ -70,6 +70,12 @@ def report_for(dataset, scheme, test_error, alpha=3, m=4, total=10):
     )
 
 
+def numpy_scalar_matrix():
+    # a report whose errors are numpy scalars, as a caller's own arithmetic may give
+    report = EvaluationReport("d", "classic", 3, 4, np.float64(0.25), np.float64(0.5), 1, 2)
+    return BenchmarkMatrix((BenchmarkRow("d", {"classic": report}),), {"classic": 1})
+
+
 class TestConfig:
     def test_defaults(self):
         config = BenchmarkConfig()
@@ -235,6 +241,13 @@ class TestEmitReport:
         assert lines[0] == ",".join(CSV_COLUMNS)
         assert len(lines) == 2
         assert lines[1] == "Toy,classic,3,4,0.0,0.2,2,10,true"
+
+    def test_csv_writes_numpy_scalars_as_numbers(self):
+        assert emit_report(numpy_scalar_matrix(), "csv").splitlines()[1] == "d,classic,3,4,0.25,0.5,1,2,true"
+
+    def test_json_writes_numpy_scalars_as_numbers(self):
+        cell = json.loads(emit_report(numpy_scalar_matrix(), "json"))["rows"][0]["schemes"]["classic"]
+        assert (cell["train_error"], cell["test_error"], cell["is_row_min"]) == (0.25, 0.5, True)
 
     @pytest.mark.parametrize("fmt", REPORT_FORMATS)
     def test_tied_row_marks_every_winner(self, fmt):

@@ -17,7 +17,6 @@ from trendsax.core import (
     PaaVector,
     SaxWord,
     _block_means,
-    _znormalize_rows,
     gaussian_quantile,
     make_alphabet_table,
     paa,
@@ -25,6 +24,12 @@ from trendsax.core import (
     znormalize,
 )
 from trendsax.segmentation import SCHEMES, Segmentation, segment
+
+
+def numpy_znormalize(row):
+    """``(row - row.mean()) / row.std()``, or zeros for a row that znormalize treats as constant."""
+    sd = row.std()
+    return (row - row.mean()) / sd if sd >= 1e-12 else np.zeros_like(row)
 
 
 class TestZnormalize:
@@ -63,7 +68,7 @@ class TestZnormalize:
         rows = np.array([[1.7e308, 1.7e308], [1.0, 2.0]])
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="^series contains non-finite values$"):
-                _znormalize_rows(rows)
+                core._row_stats(rows)
 
     def test_overflowing_variance_raises(self):
         # a finite mean, but the sum of squares overflows, so the std is inf and every value would divide to 0
@@ -71,12 +76,7 @@ class TestZnormalize:
             with pytest.raises(ValueError, match="^series contains non-finite values$"):
                 znormalize([1e200, -1e200])
             with pytest.raises(ValueError, match="^series contains non-finite values$"):
-                _znormalize_rows(np.array([[1.0, 2.0], [1e200, -1e200]]))
-
-    def test_holds_no_full_size_temporary(self):
-        # the result is the only full-size array: the squares are taken a row chunk at a time
-        x = np.random.default_rng(5).normal(size=(1380, 1639)).cumsum(axis=1)
-        assert tracemalloc_peak(_znormalize_rows, x) < 1.25 * x.nbytes
+                core._row_stats(np.array([[1.0, 2.0], [1e200, -1e200]]))
 
     def test_row_statistics_hold_no_full_size_temporary(self):
         # a cinc-like split: the centred squares are taken a row chunk at a time
@@ -87,19 +87,21 @@ class TestZnormalize:
                              ids=["1-D", "one row", "mallat-like split", "cinc-like split"])
     def test_bits_equal_numpy_std_row_by_row(self, shape):
         # the centred form must keep every bit of (x - x.mean()) / x.std(): a variance taken
-        # with ``d @ d`` or ``np.dot`` adds in another order and fails here
+        # with ``d @ d`` or ``np.dot`` adds in another order and fails here; a split's rows
+        # are z-normalized inside the block means, which with m == n are the values
         rng = np.random.default_rng(sum(shape))
         x = rng.normal(3.0, 5.0, size=shape).cumsum(axis=-1)
         rows = x.reshape(-1, shape[-1])
         if rows.shape[0] > 1:
             rows[::7] = 2.5  # constant rows among the random ones
             rows[3::7] = rows[3::7, :1]
-        z = _znormalize_rows(x)
+        if x.ndim == 1:
+            z = znormalize(x)
+        else:
+            z = _block_means(x, segment("classic", shape[-1], shape[-1]), *core._row_stats(x))
         assert z.shape == x.shape
         for got, row in zip(z.reshape(rows.shape), rows):
-            sd = row.std()
-            want = (row - row.mean()) / sd if sd >= 1e-12 else np.zeros_like(row)
-            assert got.tobytes() == want.tobytes()
+            assert got.tobytes() == numpy_znormalize(row).tobytes()
 
     def test_matches_reference(self):
         rng = np.random.default_rng(11)
@@ -279,7 +281,7 @@ class TestBlockMeans:
             assert np.array_equal(_block_means(z, seg), want), (m, w)
 
     def test_whole_splits_equal_the_oracle(self):
-        # the split path: z-normalize every row at once, then block means;
+        # the split path: block means of the raw rows, z-normalized from their row statistics;
         # blocks of w >= 8 points are where a numpy reduction would sum in
         # another order, and constant rows take the zero branch
         rng = np.random.default_rng(6)
@@ -296,12 +298,14 @@ class TestBlockMeans:
             seg = segment(SCHEMES[case % len(SCHEMES)], n, m)
             long_blocks += seg.w >= 8
             want = [oracles.paa_means(oracles.znormalize(row), seg.blocks.tolist()) for row in series.tolist()]
-            assert np.array_equal(_block_means(_znormalize_rows(series), seg), want), (seg.scheme, rows, n, m)
+            got = _block_means(series, seg, *core._row_stats(series))
+            assert np.array_equal(got, want), (seg.scheme, rows, n, m)
         assert long_blocks >= 40
 
     @pytest.mark.parametrize("chunk_values", [1, 500, 2**16])
     def test_row_statistics_give_the_means_of_the_normalized_rows(self, monkeypatch, chunk_values):
-        # raw rows z-normalized chunk by chunk inside the gather keep every bit of the normalized copy's means
+        # raw rows z-normalized chunk by chunk inside the gather keep every bit of the means of
+        # the rows z-normalized one by one
         monkeypatch.setattr(core, "_CHUNK_VALUES", chunk_values)
         rng = np.random.default_rng(14)
         for case, (m, w) in enumerate([(1, 9), (2, 8), (5, 13), (16, 4), (3, 33)]):
@@ -310,7 +314,8 @@ class TestBlockMeans:
             series = series[:, 1:]  # a view, as load_ucr returns
             seg = segment(SCHEMES[case % len(SCHEMES)], m * w + 1, m)
             got = _block_means(series, seg, *core._row_stats(series))
-            assert got.tobytes() == _block_means(_znormalize_rows(series), seg).tobytes(), (m, w)
+            z = np.array([numpy_znormalize(row) for row in series])
+            assert got.tobytes() == _block_means(z, seg).tobytes(), (m, w)
 
     def test_memory_stays_bounded(self):
         z = np.random.default_rng(13).standard_normal((2000, 1024))
@@ -374,7 +379,7 @@ class TestSymbolize:
         assert rows[0].tolist() == rows[1].tolist() == list(range(MAX_ALPHABET - 1))
         assert rows[2].tolist() == list(range(1, MAX_ALPHABET))
 
-    def test_symbol_matrices_allocate_their_result_once(self):
+    def test_symbol_counts_allocate_their_result_once(self):
         # the same split as above, symbolized by counting: a uint8 count and its comparisons are 1/8 each
         means = np.random.default_rng(98).standard_normal((2345, 256))
         table = make_alphabet_table(10)
@@ -417,8 +422,6 @@ class TestSymbolize:
 
 
 # ----------------------------------------------------------------- properties
-
-pytestmark_properties = pytest.mark.properties
 
 
 @pytest.mark.properties

@@ -148,13 +148,16 @@ def test_only_the_table_squares_its_distances(path):
 
 
 # an internal format and the modules that may use it: its owner and the layer that
-# consumes it; the bound audit takes block means of raw pairs, so distance may too
+# consumes it; the bound audit takes block means of raw pairs, so distance may too;
+# the zero rule for constant rows has core as its one user
 FORMAT_USERS = {
     "_sq": {"core", "distance"},
     "_sq32": {"core", "distance"},
     "_stats": {"core", "dataset"},
     "_row_stats": {"core", "dataset"},
     "_block_means": {"core", "dataset", "distance"},
+    "_scale": {"core"},
+    "_DEGENERATE_STD": {"core"},
 }
 
 
