@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import multiprocessing
+import operator
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -201,8 +202,9 @@ def run_benchmark(
 
 
 def report_fields(report: EvaluationReport) -> dict[str, object]:
-    """The report's fields that every rendering shares, by column name."""
-    return {column: getattr(report, attribute) for column, attribute, _ in _REPORT_FIELDS}
+    """The report's fields that every rendering shares, by column name, as Python ints (never truncated) and floats."""
+    return {column: (operator.index if parse is int else float)(getattr(report, attribute))
+            for column, attribute, parse in _REPORT_FIELDS}
 
 
 def _csv_text(header: Iterable[object], rows: Iterable[Iterable[object]]) -> str:

@@ -87,41 +87,37 @@ def _source_length(value, m: int) -> int:
 
 
 def znormalize(values) -> np.ndarray:
-    """Shift and scale a series to mean 0 and population standard deviation 1.
+    """A copy of a non-empty series of finite reals, shifted and scaled to mean 0 and standard deviation 1.
 
-    Parameters
-    ----------
-    values : sequence of finite reals, length >= 1
-
-    Returns
-    -------
-    Normalized copy.  A series whose population standard deviation is
-    below 1e-12 is treated as constant and maps to all zeros, so flat
-    inputs never blow up downstream.  Raises ValueError if a value is not
-    finite or the mean or standard deviation overflows.  The steps are
-    those :func:`_block_means` takes on a split's rows: centre by the
-    :func:`_row_stats` into the copy, then :func:`_scale` it in place.
+    The standard deviation is the population one.  A series whose standard
+    deviation is below 1e-12 is treated as constant and maps to all +0.0,
+    so flat inputs never blow up downstream.  Raises ValueError if a value
+    is not finite or the mean or standard deviation overflows.  The steps
+    are those :func:`_block_means` takes on a split's rows: subtract the
+    :func:`_row_stats` centre, then divide by their scale.
     """
     x = _as_series(values)
     mean, sd = _row_stats(x)
-    z = x - mean
-    _scale(z, sd)
-    return z
+    return (x - mean) / sd
 
 
 def _row_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's mean and population standard deviation along the last axis, as (..., 1) arrays.
+    """Each row's centre and scale along the last axis, as (..., 1) arrays, to subtract and divide by.
 
-    They have the bits of ``x.mean`` and ``x.std``, whose steps they
-    repeat: sum and divide for the mean; centre, square, sum, divide and
-    ``sqrt`` for the standard deviation.  The centred squares are taken
-    about ``_CHUNK_VALUES`` values at a time, so no full-size array exists.
-    Raises ValueError unless every standard deviation is finite.  For
-    finite ``x`` that also covers the means and the z-normalized values: a
-    non-finite mean makes every centred value of its row, and so its
-    standard deviation, non-finite.  They serve :func:`znormalize` for one
-    series and, cached as ``LabeledDataset._stats``, :func:`_block_means`
-    for a split.
+    They are the row's mean and population standard deviation, with the
+    bits of ``x.mean`` and ``x.std``, whose steps they repeat; the centred
+    squares are taken about ``_CHUNK_VALUES`` values at a time, so no
+    full-size array exists.  Raises ValueError unless every standard
+    deviation is finite, which for finite ``x`` also covers the means.
+    A row whose standard deviation is below ``_DEGENERATE_STD`` is constant
+    and gets ``mean - 1.0`` and ``+inf`` instead, which make every value
+    ``+0.0``.  Its values lie within sd·√n < 0.5 of the mean for n < 10^23.
+    If |mean| < 2^53, ``mean - 1.0`` rounds to at most ``mean - 0.5``, so
+    each centred value is positive and divides by ``+inf`` to ``+0.0``;
+    otherwise doubles are at least 1 apart, so every value is the mean and
+    centres to ``+0.0`` or above.  That covers mixed ``0.0`` and ``-0.0``
+    and ±``np.finfo(float).max``, with no overflow or NaN.  They serve
+    :func:`znormalize` and, cached as ``LabeledDataset._stats``, :func:`_block_means`.
     """
     n = x.shape[-1]
     # x.mean's own steps, without its Python-level overhead (about 2 µs a call)
@@ -138,13 +134,11 @@ def _row_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     np.sqrt(sd, out=sd)
     if not np.isfinite(sd).all():
         raise ValueError("series contains non-finite values")
+    flat = sd < _DEGENERATE_STD
+    if flat.any():
+        mean[flat] -= 1.0
+        sd[flat] = np.inf
     return mean, sd
-
-
-def _scale(d: np.ndarray, sd: np.ndarray) -> None:
-    """Divide centred values ``d`` in place by their row's ``sd``, or set them to 0 where ``sd`` is degenerate."""
-    np.divide(d, sd, out=d, where=sd >= _DEGENERATE_STD)
-    np.copyto(d, 0.0, where=sd < _DEGENERATE_STD)
 
 
 def _block_means(x: np.ndarray, seg: Segmentation, mean: np.ndarray | None = None,
@@ -157,9 +151,9 @@ def _block_means(x: np.ndarray, seg: Segmentation, mean: np.ndarray | None = Non
     slices are added one after another: a numpy sum over the block axis
     adds pairwise whenever that axis ends up innermost, as it does for m == 1.
     Given the rows' (N, 1) :func:`_row_stats` ``mean`` and ``sd``, each
-    gathered chunk is first z-normalized in place, value by value as
-    :func:`znormalize` does, so the means of a split's raw rows have the
-    bits of the means of its rows z-normalized one by one, with no copy.
+    gathered chunk is first z-normalized in place by ``-= mean`` and
+    ``/= sd``, as :func:`znormalize` does, so the means of a split's raw
+    rows have the bits of the means of its rows z-normalized one by one.
     """
     out = np.empty((x.shape[0], seg.m))
     step = max(1, _CHUNK_VALUES // seg.n_effective)
@@ -167,7 +161,7 @@ def _block_means(x: np.ndarray, seg: Segmentation, mean: np.ndarray | None = Non
         g = np.take(x[i0:i0 + step], seg.blocks.T, axis=1)
         if mean is not None:
             g -= mean[i0:i0 + step, :, None]
-            _scale(g, sd[i0:i0 + step, :, None])
+            g /= sd[i0:i0 + step, :, None]
         total = out[i0:i0 + step]
         np.copyto(total, g[:, 0])
         for k in range(1, seg.w):

@@ -84,11 +84,11 @@ class LabeledDataset:
 
     @cached_property
     def _stats(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each row's mean and standard deviation, read-only (N, 1) arrays computed on first use.
+        """Each row's ``core._row_stats`` centre and scale (its mean and std unless it is constant), read-only (N, 1).
 
-        ``_means`` z-normalizes the rows it gathers with them, so every
-        scheme's block means come from ``series`` and these 2·N values: the
-        split is held once, with no z-normalized copy.
+        Computed on first use.  ``_means`` z-normalizes the rows it gathers with
+        them, so every scheme's block means come from ``series`` and these 2·N
+        values: the split is held once, with no z-normalized copy.
         """
         stats = core._row_stats(self.series)
         for a in stats:
@@ -219,12 +219,9 @@ class DatasetPair:
             raise ValueError(
                 f"dataset {self.name!r}: train length {self.train.n} != test length {self.test.n}"
             )
-        unseen = set(np.unique(self.test.labels)) - set(np.unique(self.train.labels))
+        unseen = np.setdiff1d(self.test.labels, self.train.labels).tolist()
         if unseen:
-            warnings.warn(
-                f"dataset {self.name!r}: test labels {sorted(unseen)} never occur in training data",
-                stacklevel=2,
-            )
+            warnings.warn(f"dataset {self.name!r}: test labels {unseen} never occur in training data", stacklevel=2)
 
 
 def _split_files(directory: Path, split: str) -> list[Path]:
@@ -235,13 +232,21 @@ def _split_files(directory: Path, split: str) -> list[Path]:
     )
 
 
+def _dataset_directory(path) -> Path:
+    """``path`` as a Path; FileNotFoundError or NotADirectoryError unless it is a directory."""
+    path = Path(path)
+    if not path.is_dir():
+        if path.exists():
+            raise NotADirectoryError(f"dataset directory {path} is not a directory")
+        raise FileNotFoundError(f"dataset directory {path} does not exist")
+    return path
+
+
 def _discover_datasets(paths: list[str]) -> list[Path]:
     """Each path that holds a *_TRAIN series file, else its subdirectories that do."""
     datasets = []
     for raw in paths:
-        root = Path(raw)
-        if not root.is_dir():
-            raise FileNotFoundError(f"dataset directory {root} does not exist")
+        root = _dataset_directory(raw)
         if _split_files(root, "TRAIN"):
             datasets.append(root)
             continue
@@ -266,9 +271,7 @@ def load_dataset_pair(directory) -> DatasetPair:
 
     The dataset takes its name from the directory.
     """
-    directory = Path(directory)
-    if not directory.is_dir():
-        raise FileNotFoundError(f"dataset directory {directory} does not exist")
+    directory = _dataset_directory(directory)
     train = load_ucr(_find_split(directory, "TRAIN"))
     test = load_ucr(_find_split(directory, "TEST"))
     return DatasetPair(directory.name, train, test)

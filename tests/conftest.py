@@ -1,3 +1,4 @@
+import os
 from pathlib import Path
 
 import pytest
@@ -15,11 +16,18 @@ settings.register_profile(
 settings.load_profile("suite")
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="session")
 def fixtures_dir() -> Path:
     return FIXTURES
+
+
+@pytest.fixture(scope="session")
+def child_env() -> dict[str, str]:
+    """The environment for a child Python that imports trendsax: this one with ``src`` first on PYTHONPATH."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
 
 
 @pytest.fixture(scope="session")

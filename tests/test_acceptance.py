@@ -211,14 +211,14 @@ def test_criterion_6_ucr_spot_checks():
     _report(6, not failures, f"UCR spot checks; failures: {failures or 'none'}")
 
 
-def test_criterion_7_parallel_determinism(suite_dir, tmp_path):
+def test_criterion_7_parallel_determinism(suite_dir, tmp_path, child_env):
     outputs = []
     for jobs in ("1", "8"):
         out = tmp_path / f"report-jobs{jobs}.csv"
         proc = subprocess.run(
             [sys.executable, "-m", "trendsax", "benchmark", str(suite_dir),
              "--jobs", jobs, "--out", str(out)],
-            capture_output=True, text=True, timeout=300, cwd=REPO_ROOT,
+            capture_output=True, text=True, timeout=300, cwd=REPO_ROOT, env=child_env,
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append(out.read_bytes())

@@ -4,7 +4,6 @@ import re
 import subprocess
 import sys
 from concurrent.futures import Future
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -170,14 +169,12 @@ class TestRunBenchmark:
         assert emit_report(parallel, "csv") == emit_report(suite_matrix, "csv")
         assert parallel.win_counts == suite_matrix.win_counts
 
-    def test_workers_forked_after_blas_threads_give_the_same_report(self, suite_dir):
+    def test_workers_forked_after_blas_threads_give_the_same_report(self, suite_dir, child_env):
         # a worker that deadlocks on a lock held by a BLAS thread at fork
         # would hang the run, so it gets a deadline
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [sys.executable, "-c", FORK_AFTER_BLAS, *(str(suite_dir / name) for name in ("Steps", "Ramps", "Bumps"))],
-            capture_output=True, text=True, timeout=300, env=env,
+            capture_output=True, text=True, timeout=300, env=child_env,
         )
         assert proc.returncode == 0, proc.stderr[-4000:]
         serial, parallel, _ = proc.stdout.split("\0")
@@ -248,6 +245,19 @@ class TestEmitReport:
     def test_json_writes_numpy_scalars_as_numbers(self):
         cell = json.loads(emit_report(numpy_scalar_matrix(), "json"))["rows"][0]["schemes"]["classic"]
         assert (cell["train_error"], cell["test_error"], cell["is_row_min"]) == (0.25, 0.5, True)
+
+    def test_numpy_integers_render_as_numbers_in_every_format(self):
+        report = EvaluationReport("d", "classic", np.int64(3), 4, 0.25, 0.5, np.int64(1), 2)
+        matrix = BenchmarkMatrix((BenchmarkRow("d", {"classic": report}),), {"classic": 1})
+        cell = json.loads(emit_report(matrix, "json"))["rows"][0]["schemes"]["classic"]
+        assert [cell[key] for key in ("alpha_chosen", "m", "misclassified", "total")] == [3, 4, 1, 2]
+        assert emit_report(matrix, "csv").splitlines()[1] == "d,classic,3,4,0.25,0.5,1,2,true"
+        assert emit_report(matrix, "text") == emit_report(numpy_scalar_matrix(), "text")
+
+    def test_fractional_integer_field_is_not_truncated(self):
+        report = EvaluationReport("d", "classic", 3.5, 4, 0.25, 0.5, 1, 2)
+        with pytest.raises(TypeError):
+            benchmark.report_fields(report)
 
     @pytest.mark.parametrize("fmt", REPORT_FORMATS)
     def test_tied_row_marks_every_winner(self, fmt):

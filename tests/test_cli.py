@@ -245,6 +245,12 @@ class TestEvaluate:
         assert code == 1
         assert err.startswith("error:")
 
+    def test_file_given_as_dataset_dir_is_not_a_directory(self, mini_dir, capsys):
+        target = mini_dir / "Mini_TRAIN.txt"
+        code, out, err = run_cli(["evaluate", str(target)], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: dataset directory {target} is not a directory\n"
+
     @BAD_ALPHABET_RANGES
     def test_bad_alphabet_range_fails_before_work(self, alphas, message, fixtures_dir, capsys):
         # the range is checked before the (missing) directory is read
@@ -281,6 +287,12 @@ class TestBenchmark:
         assert code == 1
         assert out == ""
         assert err == f"error: dataset directory {missing} does not exist\n"
+
+    def test_file_given_as_dataset_dir_is_not_a_directory(self, mini_dir, capsys):
+        target = mini_dir / "Mini_TRAIN.txt"
+        code, out, err = run_cli(["benchmark", str(target)], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: dataset directory {target} is not a directory\n"
 
     def test_directory_without_series_files_fails(self, tmp_path, capsys):
         (tmp_path / "empty").mkdir()
@@ -396,12 +408,12 @@ def test_mini_output_bytes_are_golden(command, fmt, digest, mini_dir, capsys):
 
 
 class TestEntryPoint:
-    def test_module_invocation_matches_in_process(self, mini_dir, capsys):
+    def test_module_invocation_matches_in_process(self, mini_dir, capsys, child_env):
         argv = ["convert", str(mini_dir / "Mini_TRAIN.txt"), "--alphabet", "3"]
         _, in_process, _ = run_cli(argv, capsys)
         proc = subprocess.run(
             [sys.executable, "-m", "trendsax", *argv],
-            capture_output=True, text=True, timeout=120,
+            capture_output=True, text=True, timeout=120, env=child_env,
         )
         assert proc.returncode == 0
         assert proc.stdout == in_process

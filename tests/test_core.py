@@ -103,6 +103,20 @@ class TestZnormalize:
         for got, row in zip(z.reshape(rows.shape), rows):
             assert got.tobytes() == numpy_znormalize(row).tobytes()
 
+    @pytest.mark.parametrize("row", [
+        [-0.0, 0.0], [0.0, -0.0, 0.0], [np.finfo(float).max], [-np.finfo(float).max],
+        [2.0**53] * 3, [-(2.0**60)] * 4, [1.0, 1.0 + 2**-52, 1.0, 1.0],
+        [5e-324, 0.0, -5e-324, 0.0], [-3.75] * 1000,
+    ], ids=["-0 0", "0 -0 0", "max", "-max", "2^53", "-2^60", "1 ulp apart", "subnormal", "1000 equal"])
+    def test_constant_rows_map_to_positive_zeros(self, row):
+        # both paths must give +0.0 for every value, sign of zero included
+        row = np.array(row)
+        want = numpy_znormalize(row).tobytes()
+        assert want == np.zeros_like(row).tobytes()
+        seg = segment("classic", row.size, row.size)
+        assert znormalize(row).tobytes() == want
+        assert _block_means(row[None], seg, *core._row_stats(row[None]))[0].tobytes() == want
+
     def test_matches_reference(self):
         rng = np.random.default_rng(11)
         for _ in range(20):

@@ -222,7 +222,7 @@ class TestDatasetPair:
         d.mkdir()
         (d / "Odd_TRAIN.txt").write_text("1,1.0,2.0\n1,2.0,3.0\n")
         (d / "Odd_TEST.txt").write_text("9,1.0,2.0\n")
-        with pytest.warns(UserWarning, match="never occur"):
+        with pytest.warns(UserWarning, match=r"^dataset 'Odd': test labels \[9\] never occur in training data$"):
             load_dataset_pair(d)
 
 

@@ -1,6 +1,5 @@
 """Every script under ``demos/`` runs to completion against the library in ``src/``."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,8 +11,7 @@ DEMOS = sorted((REPO_ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[demo.name for demo in DEMOS])
-def test_demo_exits_zero(demo):
-    path = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
+def test_demo_exits_zero(demo, child_env):
     proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
-                          timeout=120, cwd=REPO_ROOT, env={**os.environ, "PYTHONPATH": path})
+                          timeout=120, cwd=REPO_ROOT, env=child_env)
     assert proc.returncode == 0, proc.stderr[-4000:]

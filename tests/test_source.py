@@ -156,7 +156,6 @@ FORMAT_USERS = {
     "_stats": {"core", "dataset"},
     "_row_stats": {"core", "dataset"},
     "_block_means": {"core", "dataset", "distance"},
-    "_scale": {"core"},
     "_DEGENERATE_STD": {"core"},
 }
 
