@@ -107,8 +107,12 @@ def _row_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     They are the row's mean and population standard deviation, with the
     bits of ``x.mean`` and ``x.std``, whose steps they repeat; the centred
     squares are taken about ``_CHUNK_VALUES`` values at a time, so no
-    full-size array exists.  Raises ValueError unless every standard
-    deviation is finite, which for finite ``x`` also covers the means.
+    full-size array exists.  A row whose standard deviation is not finite
+    but whose mean is, and whose max equals its min, is constant: its
+    mean missed its value (``np.full(10, 1e300)``'s by 1.7e284) and the
+    squares overflowed, with numpy's warning.  It gets its own value and
+    0.  Any other non-finite standard deviation raises ValueError, which
+    for finite ``x`` also covers the means.
     A row whose standard deviation is below ``_DEGENERATE_STD`` is constant
     and gets ``mean - 1.0`` and ``+inf`` instead, which make every value
     ``+0.0``.  Its values lie within sd·√n < 0.5 of the mean for n < 10^23.
@@ -133,7 +137,11 @@ def _row_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sd /= n
     np.sqrt(sd, out=sd)
     if not np.isfinite(sd).all():
-        raise ValueError("series contains non-finite values")
+        lo = x.min(axis=-1, keepdims=True)
+        same = ~np.isfinite(sd) & np.isfinite(mean) & (x.max(axis=-1, keepdims=True) == lo)
+        mean[same], sd[same] = lo[same], 0.0
+        if not np.isfinite(sd).all():
+            raise ValueError("series contains non-finite values")
     flat = sd < _DEGENERATE_STD
     if flat.any():
         mean[flat] -= 1.0
@@ -213,20 +221,6 @@ _Q_B = (
     6.680131188771972e01,
     -1.328068155288572e01,
 )
-_Q_C = (
-    -7.784894002430293e-03,
-    -3.223964580411365e-01,
-    -2.400758277161838e00,
-    -2.549732539343734e00,
-    4.374664141464968e00,
-    2.938163982698783e00,
-)
-_Q_D = (
-    7.784695709041462e-03,
-    3.224671290700398e-01,
-    2.445134137142996e00,
-    3.754408661907416e00,
-)
 _Q_P_LOW = 0.02425
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -234,11 +228,14 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 def gaussian_quantile(p: float) -> float:
     """Inverse CDF of the standard normal distribution.
 
-    Rational approximation sharpened by a single Newton correction
-    against the erfc-based CDF.  Probabilities above one half reflect
-    through the lower half (1 - p is exact there), which keeps the
-    Newton residual well conditioned in both tails and makes results
-    for exactly complementary probabilities exactly opposite.
+    p above one half reflects through the lower half (1 - p is exact
+    there), so exactly complementary probabilities give exactly opposite
+    results.  The tails, p below ``_Q_P_LOW``, take the ``statistics``
+    module's normal inverse CDF.  The centre alone makes alphabet tables'
+    breakpoints (p = i/α lies in [1/26, 0.48]), and stays a rational
+    approximation sharpened by one Newton step against the erfc-based
+    CDF: the standard library differs in the last bits of most
+    breakpoints, which the recorded report digests pin.
     """
     p = float(p)
     if not 0.0 < p < 1.0:
@@ -246,20 +243,17 @@ def gaussian_quantile(p: float) -> float:
     if p > 0.5:
         return -gaussian_quantile(1.0 - p)
     if p < _Q_P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        c, d = _Q_C, _Q_D
-        x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    else:
-        q = p - 0.5
-        r = q * q
-        a, b = _Q_A, _Q_B
-        x = (
-            (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5])
-            * q
-            / (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-        )
+        # imported here, not at the top: statistics takes 3-5 ms to import and no alphabet table reaches the tail
+        import statistics
+        return statistics.NormalDist().inv_cdf(p)
+    q = p - 0.5
+    r = q * q
+    a, b = _Q_A, _Q_B
+    x = (
+        (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5])
+        * q
+        / (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
+    )
     # Newton step: x -= (CDF(x) - p) / pdf(x); x <= 0 here, so the CDF
     # term erfc(-x / sqrt 2) / 2 is at most one half and never cancels
     err = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p

@@ -63,6 +63,36 @@ def test_within_bound_compares_the_median_with_the_relative_bound():
     assert verdicts(parent, [10 * 1.34] * 4)[1] == (False, False)
 
 
+def unresolved(parent, change, metric):
+    runs = [{"workload": "stream", "seed": seed, "side": side,
+             "result": {"correct": True, "failed": 0, "metrics": {metric["name"]: {"value": value}}}}
+            for seed, (p, c) in enumerate(zip(parent, change)) for side, value in (("parent", p), ("change", c))]
+    return bench_pairs.summarize(runs, [metric])["stream"][metric["name"]]["unresolved"]
+
+
+PEAK = {"name": "peak_rss_mb", "better": "lower", "bound": 0.2}
+MODES = [62.5, 77.8] * 5  # quartiles 62.5 and 77.8: an IQR of 15.3 against 0.2 * median 70.15 = 14.03
+
+
+def test_a_side_spread_wider_than_the_bound_is_unresolved():
+    assert unresolved(MODES, MODES, PEAK)
+    assert unresolved([70.0] * 10, MODES, PEAK)
+    assert unresolved(MODES, [70.0] * 10, PEAK)
+
+
+def test_tight_sides_are_resolved():
+    assert not unresolved([70.0, 71.0] * 5, [75.0, 76.0] * 5, PEAK)
+
+
+def test_wide_sides_are_resolved_when_every_change_run_is_better():
+    assert not unresolved([80.0, 95.0] * 5, [60.0, 75.0] * 5, PEAK)
+    # one overlap between the sides leaves it unresolved
+    assert unresolved([80.0, 95.0] * 5, [60.0, 75.0] * 4 + [60.0, 81.0], PEAK)
+    rate = {"name": "ops_per_s", "better": "higher", "bound": 0.2}
+    assert not unresolved([60.0, 75.0] * 5, [80.0, 95.0] * 5, rate)
+    assert unresolved([80.0, 95.0] * 5, [60.0, 75.0] * 5, rate)
+
+
 def test_summary_counts_wins_in_each_metric_direction():
     runs = [run(1, "parent", 2.0, 10.0), run(1, "change", 1.0, 12.0),
             run(2, "change", 3.0, 9.0, correct=False, failed=2), run(2, "parent", 2.5, 11.0),

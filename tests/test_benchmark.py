@@ -22,7 +22,7 @@ from trendsax.benchmark import (
     run_benchmark,
 )
 from trendsax.classify import EvaluationReport
-from trendsax.dataset import DatasetPair, load_dataset_pair
+from trendsax.dataset import DatasetPair, LabeledDataset, load_dataset_pair
 from trendsax.segmentation import SCHEMES
 
 
@@ -150,6 +150,20 @@ class TestRunBenchmark:
         assert all(row.error is not None for row in matrix.rows)
         assert [row.dataset for row in matrix.rows] == ["Steps", "Ramps"]
         assert matrix.win_counts == dict.fromkeys(SCHEMES, 0)
+
+    def test_huge_constant_training_series_scores_as_any_constant_series(self, suite_pairs):
+        # its centred squares overflow (numpy warns), but like 0.0 it z-normalizes to zeros
+        pair = suite_pairs[0]
+
+        def with_first_train_series(value):
+            series = pair.train.series.copy()
+            series[0] = value
+            return DatasetPair(pair.name, LabeledDataset(series, pair.train.labels), pair.test)
+
+        with np.errstate(over="ignore"):
+            matrix = run_benchmark([with_first_train_series(1e300)])
+        assert matrix.rows[0].error is None
+        assert matrix.rows == run_benchmark([with_first_train_series(0.0)]).rows
 
     def test_directories_match_loaded_pairs(self, suite_dir, suite_matrix):
         matrix = run_benchmark([suite_dir / name for name in ("Steps", "Ramps", "Bumps")])

@@ -117,6 +117,16 @@ class TestZnormalize:
         assert znormalize(row).tobytes() == want
         assert _block_means(row[None], seg, *core._row_stats(row[None]))[0].tobytes() == want
 
+    @pytest.mark.parametrize("n, v", [(10, 1e300), (11, -1e300), (11, 1e200), (1000, 1e300)])
+    def test_huge_constant_rows_map_to_positive_zeros(self, n, v):
+        # the computed mean misses v by up to 3e284, so the centred squares overflow
+        # (numpy warns); the row is still constant, with no oracle: np.std overflows too
+        row, zeros = np.full(n, v), np.zeros(n).tobytes()
+        seg = segment("classic", n, n)
+        with np.errstate(over="ignore"):
+            assert znormalize(row).tobytes() == zeros
+            assert _block_means(row[None], seg, *core._row_stats(row[None]))[0].tobytes() == zeros
+
     def test_matches_reference(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
@@ -137,6 +147,16 @@ class TestGaussianQuantile:
         for p in np.linspace(0.5, 1 - 1e-9, 500):
             p = float(p)
             assert gaussian_quantile(p) == -gaussian_quantile(1.0 - p)
+
+    @pytest.mark.parametrize("p", [1e-300, 1e-310, 5e-324, 1 - 2**-53])
+    def test_deep_tails_match_scipy_inverse_cdf(self, p):
+        assert abs(gaussian_quantile(p) - float(ndtri(p))) < 1e-13
+
+    def test_no_alphabet_table_reaches_the_tails(self):
+        # the smallest breakpoint probability is 1 / MAX_ALPHABET
+        assert 1 / MAX_ALPHABET >= core._Q_P_LOW, (
+            "a larger alphabet would take breakpoints from the statistics.NormalDist tail, "
+            "whose bits differ from the central branch's, and change report bytes")
 
     def test_median_is_zero(self):
         assert gaussian_quantile(0.5) == 0.0

@@ -10,12 +10,15 @@ position i the parent runs first when i is even and the change runs
 first when i is odd.  The summary gives, per workload and end-to-end
 metric of ``BENCHMARK.json``, the median and quartiles
 (numpy.percentile 25 and 75, linear interpolation) of each side, the
-change of the median, and in how many pairs the change was better.  Two
+change of the median, and in how many pairs the change was better.  Three
 verdicts follow: ``gain_rule_met``, the change is better in at least
 9 of 10 pairs and its median beats the parent's by more than the
-parent's interquartile range; and ``within_bound``, the change's median
+parent's interquartile range; ``within_bound``, the change's median
 is worse than the parent's by no more than the metric's relative
-``bound``.
+``bound``; and ``unresolved``, either side's interquartile range is
+wider than ``bound`` times that side's median, so the runs spread too
+widely to call the metric unchanged, unless every change run is better
+than every parent run.
 """
 
 from __future__ import annotations
@@ -93,7 +96,11 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
             lower = metric["better"] == "lower"
             wins = sum((c < p) if lower else (c > p) for p, c in zip(values["parent"], values["change"]))
             q1, q3 = np.percentile(values["parent"], [25, 75])
+            c1, c3 = np.percentile(values["change"], [25, 75])
             gain = (parent - change) if lower else (change - parent)
+            wide = q3 - q1 > metric["bound"] * parent or c3 - c1 > metric["bound"] * change
+            separated = (max(values["change"]) < min(values["parent"]) if lower
+                         else min(values["change"]) > max(values["parent"]))
             out[name] = {
                 "parent_median": round(float(parent), 4),
                 "parent_q1_q3": quartiles(values["parent"]),
@@ -103,6 +110,7 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
                 "change_better_in": f"{wins}/{len(values['change'])}",
                 "gain_rule_met": bool(10 * wins >= 9 * len(values["change"]) and gain > q3 - q1),
                 "within_bound": bool(-gain <= metric["bound"] * parent),
+                "unresolved": bool(wide and not separated),
                 "parent": [round(v, 4) for v in values["parent"]],
                 "change": [round(v, 4) for v in values["change"]],
             }
