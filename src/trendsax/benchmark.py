@@ -11,18 +11,20 @@ from __future__ import annotations
 import csv
 import io
 import json
-import multiprocessing
 import operator
-from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from trendsax.classify import DEFAULT_ALPHABET_RANGE, EvaluationReport, _normalized_alphabet_range, evaluate
 from trendsax.core import _as_integers
 from trendsax.dataset import DatasetPair, load_dataset_pair
 from trendsax.segmentation import SCHEMES, _check_scheme
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future, ProcessPoolExecutor
 
 __all__ = [
     "BenchmarkConfig",
@@ -142,14 +144,38 @@ def _failed_row(source: DatasetPair | Path, exc: Exception) -> BenchmarkRow:
     return BenchmarkRow(source.name, {}, error=f"{type(exc).__name__}: {exc}")
 
 
+@contextmanager
+def _pool(workers: int) -> Iterator[ProcessPoolExecutor]:
+    """A pool of ``workers`` spawned processes, each starting OpenBLAS with one thread.
+
+    OpenBLAS reads ``OPENBLAS_NUM_THREADS`` when numpy loads, so while the
+    pool lives the variable is ``"1"`` in ``os.environ``, unless already
+    set; otherwise each worker would run a BLAS thread per core.  Spawned
+    workers inherit no lock that this process's BLAS threads hold.
+    """
+    # imported here, so a run without a pool loads none of the pool's modules
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    preset = "OPENBLAS_NUM_THREADS" in os.environ
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    try:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+            yield pool
+    finally:
+        if not preset:
+            os.environ.pop("OPENBLAS_NUM_THREADS", None)
+
+
 def _worker_row(future: Future, source: DatasetPair | Path, config: BenchmarkConfig) -> BenchmarkRow:
+    from concurrent.futures.process import BrokenProcessPool
+
     try:
         return future.result()
     except BrokenProcessPool:
         # a dead worker fails every row in flight; rerun this one alone, so
-        # only the dataset whose own worker dies again is lost.  Spawned,
-        # not forked, since the first pool has started threads in this process
-        with ProcessPoolExecutor(max_workers=1, mp_context=multiprocessing.get_context("spawn")) as pool:
+        # only the dataset whose own worker dies again is lost
+        with _pool(1) as pool:
             try:
                 return pool.submit(_dataset_row, source, config).result()
             except BrokenProcessPool as exc:
@@ -192,8 +218,7 @@ def run_benchmark(
     config = config or BenchmarkConfig()
     pairs = tuple(p if isinstance(p, DatasetPair) else Path(p) for p in pairs)
     if config.jobs > 1 and len(pairs) > 1:
-        # the fork start method starts every worker at the first submit
-        with ProcessPoolExecutor(max_workers=min(config.jobs, len(pairs))) as pool:
+        with _pool(min(config.jobs, len(pairs))) as pool:
             futures = [pool.submit(_dataset_row, pair, config) for pair in pairs]
             rows = tuple(_worker_row(future, pair, config) for future, pair in zip(futures, pairs))
     else:

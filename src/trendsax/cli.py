@@ -211,7 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="alphabet sizes swept during tuning (default 3:20)")
     bench.add_argument("--format", choices=REPORT_FORMATS, default="csv")
     bench.add_argument("--jobs", type=int, default=1,
-                       help="worker processes; results are identical for any value")
+                       help="worker processes, each spawned with one BLAS thread unless "
+                            "OPENBLAS_NUM_THREADS is set; results are identical for any value")
     bench.add_argument("--out", help="write the report to this file instead of stdout")
     bench.set_defaults(func=_cmd_benchmark)
     return parser

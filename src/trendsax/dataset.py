@@ -88,9 +88,12 @@ class LabeledDataset:
 
         Computed on first use.  ``_means`` z-normalizes the rows it gathers with
         them, so every scheme's block means come from ``series`` and these 2·N
-        values: the split is held once, with no z-normalized copy.
+        values: the split is held once, with no z-normalized copy.  numpy's
+        overflow warning from a huge constant row is silenced here, once per
+        split, since ``_row_stats`` maps such a row to zeros.
         """
-        stats = core._row_stats(self.series)
+        with np.errstate(over="ignore"):
+            stats = core._row_stats(self.series)
         for a in stats:
             a.flags.writeable = False
         return stats

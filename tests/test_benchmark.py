@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -33,8 +34,35 @@ class WorkerKiller(DatasetPair):
         return os._exit, (1,)
 
 
+class BlasThreadsProbe(DatasetPair):
+    """A dataset that a worker unpickles as a plain copy named after its own ``OPENBLAS_NUM_THREADS``."""
+
+    def __reduce__(self):
+        return DatasetPair, (WorkerBlasThreads(), self.train, self.test)
+
+
+class WorkerBlasThreads:
+    """Unpickles as the receiving process's ``OPENBLAS_NUM_THREADS``, or ``"unset"``."""
+
+    def __reduce__(self):
+        return os.getenv, ("OPENBLAS_NUM_THREADS", "unset")
+
+
+# imports the library, then runs a jobs=1 benchmark, and prints which of
+# the process pool's modules were loaded after each
+NO_POOL_MODULES = """
+import sys
+import trendsax, trendsax.cli
+from trendsax.benchmark import BenchmarkConfig, run_benchmark
+pool_modules = ("multiprocessing", "concurrent.futures", "logging")
+print([name for name in pool_modules if name in sys.modules])
+run_benchmark(sys.argv[1:], BenchmarkConfig(jobs=1))
+print([name for name in pool_modules if name in sys.modules])
+"""
+
+
 # tunes a 300-row split in process, so OpenBLAS threads have run float32
-# products, then forks --jobs 2 workers; prints the jobs=1 and jobs=2 reports
+# products, then starts --jobs 2 workers; prints the jobs=1 and jobs=2 reports
 FORK_AFTER_BLAS = """
 import sys
 import numpy as np
@@ -152,7 +180,7 @@ class TestRunBenchmark:
         assert matrix.win_counts == dict.fromkeys(SCHEMES, 0)
 
     def test_huge_constant_training_series_scores_as_any_constant_series(self, suite_pairs):
-        # its centred squares overflow (numpy warns), but like 0.0 it z-normalizes to zeros
+        # its centred squares overflow, but like 0.0 it z-normalizes to zeros
         pair = suite_pairs[0]
 
         def with_first_train_series(value):
@@ -160,10 +188,27 @@ class TestRunBenchmark:
             series[0] = value
             return DatasetPair(pair.name, LabeledDataset(series, pair.train.labels), pair.test)
 
-        with np.errstate(over="ignore"):
-            matrix = run_benchmark([with_first_train_series(1e300)])
+        matrix = run_benchmark([with_first_train_series(1e300)])
         assert matrix.rows[0].error is None
         assert matrix.rows == run_benchmark([with_first_train_series(0.0)]).rows
+
+    @pytest.mark.parametrize("n", [10, 1000])
+    def test_huge_constant_training_series_is_no_error_when_warnings_are_errors(self, n):
+        # the project's filterwarnings turns numpy's RuntimeWarnings into exceptions
+        rng = np.random.default_rng(n)
+        series = rng.standard_normal((12, n)).cumsum(axis=1)
+        labels = np.arange(12) % 3 + 1
+        test = LabeledDataset(series[::-1] + 0.5, labels)
+
+        def with_first_train_series(value):
+            train = series.copy()
+            train[0] = value
+            return DatasetPair("Huge", LabeledDataset(train, labels), test)
+
+        config = BenchmarkConfig(alphabet_range=(3, 5))
+        matrix = run_benchmark([with_first_train_series(1e300)], config)
+        assert matrix.rows[0].error is None
+        assert matrix.rows == run_benchmark([with_first_train_series(0.0)], config).rows
 
     def test_directories_match_loaded_pairs(self, suite_dir, suite_matrix):
         matrix = run_benchmark([suite_dir / name for name in ("Steps", "Ramps", "Bumps")])
@@ -206,6 +251,36 @@ class TestRunBenchmark:
         for row in (matrix.rows[0], matrix.rows[2]):
             assert row == serial[row.dataset]
 
+    def test_workers_start_with_one_blas_thread_unless_it_is_set(self, suite_pairs, monkeypatch):
+        steps, ramps, _ = suite_pairs
+        killer = WorkerKiller("Killer", steps.train, steps.test)
+        probes = [BlasThreadsProbe(pair.name, pair.train, pair.test) for pair in (steps, ramps)]
+        config = BenchmarkConfig(alphabet_range=(3, 4), jobs=2)
+        for preset, seen in ((None, "1"), ("3", "3")):
+            if preset is None:
+                monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
+            environ = dict(os.environ)
+            matrix = run_benchmark(probes, config)
+            assert [row.dataset for row in matrix.rows] == [seen, seen]
+            # beside a killed worker; a row lost with it reruns in a one-worker
+            # pool, which the broken future below always reaches
+            matrix = run_benchmark([killer, probes[0]], config)
+            assert [row.dataset for row in matrix.rows] == ["Killer", seen]
+            broken = Future()
+            broken.set_exception(BrokenProcessPool("a worker died"))
+            assert benchmark._worker_row(broken, probes[1], config).dataset == seen
+            assert dict(os.environ) == environ
+
+    def test_import_and_jobs_1_load_no_process_pool_modules(self, suite_dir, child_env):
+        proc = subprocess.run(
+            [sys.executable, "-c", NO_POOL_MODULES, str(suite_dir / "Steps")],
+            capture_output=True, text=True, timeout=300, env=child_env,
+        )
+        assert proc.returncode == 0, proc.stderr[-4000:]
+        assert proc.stdout == "[]\n[]\n"
+
     @pytest.mark.parametrize("jobs, datasets, workers", [(6, 2, 2), (2, 3, 2), (3, 3, 3)])
     def test_pool_starts_no_more_workers_than_datasets(self, jobs, datasets, workers,
                                                        suite_pairs, suite_matrix, monkeypatch):
@@ -228,7 +303,7 @@ class TestRunBenchmark:
                 future.set_result(fn(*args))
                 return future
 
-        monkeypatch.setattr(benchmark, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(benchmark, "_pool", InlinePool)
         matrix = run_benchmark(suite_pairs[:datasets], BenchmarkConfig(jobs=jobs))
         assert started == [workers]
         assert matrix.rows == suite_matrix.rows[:datasets]
