@@ -60,8 +60,15 @@ def _add_common_flags(parser: argparse.ArgumentParser, schemes_default: str = "c
     group = parser.add_mutually_exclusive_group()
     group.add_argument("--word-count", type=int, metavar="M",
                        help="fixed number of word symbols")
-    group.add_argument("--ratio", type=int, default=4, metavar="R",
-                       help="symbols per R source points when --word-count is absent (default 4)")
+    group.add_argument("--ratio", type=int, default=BenchmarkConfig.ratio, metavar="R",
+                       help="symbols per R source points when --word-count is absent (default %(default)s)")
+
+
+def _add_alphabet_range(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--alphabet-range", type=_parse_alphabet_range,
+                        default=tuple(DEFAULT_ALPHABET_RANGE), metavar="LO:HI",
+                        help="alphabet sizes swept during tuning "
+                             f"(default {DEFAULT_ALPHABET_RANGE[0]}:{DEFAULT_ALPHABET_RANGE[-1]})")
 
 
 def _schemes_from(arg: str) -> tuple[str, ...]:
@@ -195,9 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     single = sub.add_parser("evaluate", help="tune and score one dataset under one scheme")
     single.add_argument("dataset", help="directory holding *_TRAIN and *_TEST files")
     _add_common_flags(single)
-    single.add_argument("--alphabet-range", type=_parse_alphabet_range,
-                        default=tuple(DEFAULT_ALPHABET_RANGE), metavar="LO:HI",
-                        help="alphabet sizes swept during tuning (default 3:20)")
+    _add_alphabet_range(single)
     single.add_argument("--format", choices=("text", "csv", "json"), default="text")
     single.add_argument("--out", help="write output to this file instead of stdout")
     single.set_defaults(func=_cmd_evaluate)
@@ -206,9 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("datasets", nargs="+",
                        help="dataset directories, or roots containing them")
     _add_common_flags(bench, schemes_default="all")
-    bench.add_argument("--alphabet-range", type=_parse_alphabet_range,
-                       default=tuple(DEFAULT_ALPHABET_RANGE), metavar="LO:HI",
-                       help="alphabet sizes swept during tuning (default 3:20)")
+    _add_alphabet_range(bench)
     bench.add_argument("--format", choices=REPORT_FORMATS, default="csv")
     bench.add_argument("--jobs", type=int, default=1,
                        help="worker processes, each spawned with one BLAS thread unless "
@@ -225,7 +228,3 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,4 +1,4 @@
-"""Labeled series: the record, loading files in the UCR text layout, finding datasets.
+r"""Labeled series: the record, loading files in the UCR text layout, finding datasets.
 
 ``LabeledDataset`` holds uniform-length series and their integer labels.
 A file has one instance per line: an integer class label followed by
@@ -6,14 +6,11 @@ the series values, separated by commas or tabs (detected per file).  All
 rows in a file must have the same number of values.  Labels written as
 reals are accepted when they are within 1e-6 of an integer.
 
-A file is parsed twice at most.  numpy's C reader goes first, and its
-array is kept only when the file holds none of U+000B, U+000C, U+001C to
-U+001F, U+0085, U+2028 and U+2029 (see ``_LINE_PARSER_CHARS``), every
-number is finite, every label is within 1e-6 of an integer that fits 64
-bits, and it gives at least one row of a label and a value.  Otherwise,
-or when the C reader refuses the file, the line parser reads it again:
-it defines the grammar, and it names the first offending line.  Where
-both accept a file they give equal arrays.
+A line ends at ``\n``, ``\r\n`` or ``\r``, and whitespace at the edges
+of a field is ignored.  numpy's C reader goes first; when it refuses a
+file, or its table fails a check, the line parser reads the file again
+and names the first offending line.  Where both accept a file they give
+equal arrays.
 
 A dataset directory holds one ``*_TRAIN*`` and one ``*_TEST*`` series
 file; ``_discover_datasets`` finds such directories, or their children.
@@ -37,11 +34,6 @@ from trendsax.segmentation import Segmentation
 __all__ = ["DatasetPair", "LabeledDataset", "UcrFormatError", "load_dataset_pair", "load_ucr"]
 
 _SERIES_SUFFIXES = {"", ".txt", ".tsv", ".csv"}
-
-# characters that send a file to the line parser: numpy's reader strips them
-# from the edges of a field, while str.splitlines ends a line at each but
-# "\x1f", which float() refuses ("\r" is a newline once read in text mode)
-_LINE_PARSER_CHARS = "\v\f\x1c\x1d\x1e\x1f\x85\u2028\u2029"
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,17 +143,12 @@ def load_ucr(path) -> LabeledDataset:
 def _load_fast(path: Path) -> LabeledDataset:
     """numpy's C reader; ValueError for any file the line parser must judge.
 
-    A file holding any of ``_LINE_PARSER_CHARS``, a non-finite label, a
-    label more than 1e-6 from an integer or a table that ``LabeledDataset``
-    refuses (no values, a non-finite value, a label outside int64) is left
-    to the line parser.
+    A non-finite label, a label more than 1e-6 from an integer or a table
+    that ``LabeledDataset`` refuses (no values, a non-finite value, a label
+    outside int64) is left to the line parser.
     """
     with path.open() as fh:
         first = next((line for line in fh if line.strip()), "")
-        fh.seek(0)
-        for chunk in iter(lambda: fh.read(1 << 20), ""):
-            if any(c in chunk for c in _LINE_PARSER_CHARS):
-                raise ValueError("a character the C reader reads otherwise")
     table = np.loadtxt(path, delimiter=_detect_delimiter(first.strip()), comments=None,
                        ndmin=2, dtype=np.float64)
     labels = np.round(table[:, 0])
@@ -187,13 +174,13 @@ def _load_lines(path: Path) -> LabeledDataset:
     rows: list[np.ndarray] = []
     labels: list[int] = []
     delimiter = None
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(path.read_text().split("\n"), start=1):
         line = line.strip()
         if not line:
             continue
         try:
             delimiter = delimiter or _detect_delimiter(line)
-            fields = [f for f in line.split(delimiter) if f.strip()]
+            fields = [f.strip() for f in line.split(delimiter) if f.strip()]
             if len(fields) < 2:
                 raise ValueError("expected a label followed by series values")
             label = _parse_label(fields[0])

@@ -123,7 +123,7 @@ def _nearest(a: np.ndarray, b: np.ndarray, table: AlphabetTable, leave_one_out: 
         arg[i0:i1] = first
         p_min = p[chunk, first][:, None]
         # rounding the float64 product to float32 and then one step up lands above the real limit
-        keep = p <= np.nextafter((p_min * ratio).astype(np.float32), np.float32(np.inf))
+        keep = p <= np.nextafter(np.multiply(p_min, ratio, dtype=np.float64).astype(np.float32), np.float32(np.inf))
         if np.count_nonzero(keep) == chunk.size:
             continue  # every row keeps one column
         # a row that keeps one column, or whose minimum is 0, has its exact minimum at its first P_min

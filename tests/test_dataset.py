@@ -173,6 +173,30 @@ def test_load_ucr_agrees_with_line_parser_on_every_odd_character(tmp_path):
     assert disagreements == []
 
 
+# the characters str.splitlines ends a line at, or float() refuses at the edge
+# of a number, that numpy's reader takes for whitespace
+FIELD_WHITESPACE = "\v\f\x1c\x1d\x1e\x1f\x85\u2028\u2029"
+
+
+@pytest.mark.parametrize("c", FIELD_WHITESPACE, ids=lambda c: f"U+{ord(c):04X}")
+def test_odd_whitespace_inside_a_line_is_field_whitespace(tmp_path, c):
+    path = tmp_path / "d.txt"
+    path.write_bytes(f"1,2{c},3\n".encode("utf-8"))
+    dataset._load_fast(path)
+    for parse in (load_ucr, dataset._load_lines):
+        data = parse(path)
+        assert data.labels.tolist() == [1]
+        assert data.series.tolist() == [[2.0, 3.0]]
+
+
+def test_error_line_numbers_count_only_line_ends(tmp_path):
+    path = tmp_path / "d.txt"
+    path.write_bytes(b"1,2\x0c\n2,x,3\n")
+    with pytest.raises(UcrFormatError) as info:
+        load_ucr(path)
+    assert info.value.line == 2
+
+
 def test_invalid_utf8_raises_as_the_line_parser_does(tmp_path):
     path = tmp_path / "d.txt"
     path.write_bytes(b"1,2,3\n2,\xff,4\n")
@@ -306,3 +330,23 @@ def test_load_ucr_never_crashes_on_arbitrary_text(tmp_path_factory, text):
         assert len(data) >= 1
     except UcrFormatError:
         pass
+
+
+@st.composite
+def texts_with_odd_characters(draw):
+    text, _, _ = draw(valid_ucr_texts())
+    text = (text.rstrip("\n") + "\n").replace("\n", draw(st.sampled_from(["\n", "\r\n", "\r"])))
+    for c in draw(st.lists(st.sampled_from(ODD_CHARACTERS), min_size=1, max_size=3)):
+        # anywhere, or at the edge of a field, where numpy's reader takes whitespace
+        edges = [i for i in range(len(text) + 1) if set(text[max(i - 1, 0):i + 1]) & set(",\t\r\n")]
+        at = draw(st.one_of(st.integers(0, len(text)), st.sampled_from(edges)))
+        text = text[:at] + c + text[at:]
+    return text
+
+
+@pytest.mark.properties
+@given(texts_with_odd_characters())
+def test_load_ucr_agrees_with_line_parser_on_rows_with_odd_characters(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "prop_odd.txt"
+    path.write_bytes(text.encode("utf-8"))
+    assert _outcome(load_ucr, path) == _outcome(dataset._load_lines, path)
