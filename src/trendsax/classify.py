@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from trendsax import distance
-from trendsax.core import MAX_ALPHABET, AlphabetTable, SaxWord, _as_integers, _count_symbols, make_alphabet_table
+from trendsax.core import MAX_ALPHABET, AlphabetTable, SaxWord, _as_integers, _symbols, make_alphabet_table
 from trendsax.dataset import LabeledDataset
 from trendsax.distance import _check_compatible, _nearest, _one_hot
 from trendsax.segmentation import _check_scheme, segment
@@ -185,9 +185,9 @@ def _tune(train: LabeledDataset, scheme: str, m: int,
     seg = segment(scheme, train.n, m)
     means = train._means(seg)
     tables = [make_alphabet_table(alpha) for alpha in alphas]
-    errors = [_loocv_from_rows(_count_symbols(means, table), train.labels, table) for table in tables]
+    errors = [_loocv_from_rows(_symbols(means, table), train.labels, table) for table in tables]
     best = errors.index(min(errors))
-    rows = _count_symbols(means, tables[best])
+    rows = _symbols(means, tables[best])
     words = _TrainingWords(rows, train.labels, alphas[best], seg.n_effective)
     return TunedModel(scheme, words, tables[best]), errors[best]
 
@@ -197,7 +197,7 @@ def tune_alphabet(train: LabeledDataset, scheme: str, m: int,
     """Pick the alphabet size minimizing leave-one-out error on ``train``.
 
     The sweep shares one aggregation pass, ``LabeledDataset._means``,
-    across all candidate sizes, counts each size's symbols from it and
+    across all candidate sizes, takes each size's symbols from it and
     resolves ties toward the smallest alphabet.
     """
     return _tune(train, scheme, m, alphabet_range)[0]
@@ -226,7 +226,7 @@ def evaluate(train: LabeledDataset, test: LabeledDataset, scheme: str, m: int,
     for i0 in range(0, total, step):
         rows = slice(i0, i0 + step)
         # one expression, so a chunk's symbols are freed before the next chunk's means are taken
-        nearest = _nearest(_count_symbols(test._means(seg, rows), table), words.rows, table, h=words.one_hot)
+        nearest = _nearest(_symbols(test._means(seg, rows), table), words.rows, table, h=words.one_hot)
         misclassified += int((words.labels[nearest] != test.labels[rows]).sum())
     return EvaluationReport(
         dataset=dataset,

@@ -29,7 +29,7 @@ from trendsax.benchmark import (
     run_benchmark,
 )
 from trendsax.classify import DEFAULT_ALPHABET_RANGE
-from trendsax.core import SaxWord, _count_symbols, make_alphabet_table
+from trendsax.core import SaxWord, _symbols, make_alphabet_table
 from trendsax.dataset import _discover_datasets, load_dataset_pair, load_ucr
 from trendsax.distance import verify_lower_bound
 from trendsax.segmentation import SCHEMES, segment
@@ -99,7 +99,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     data = load_ucr(args.file)
     m = config.word_count_for(data.n)
     seg = segment(scheme, data.n, m)
-    rows = _count_symbols(data._means(seg), table)
+    rows = _symbols(data._means(seg), table)
     records = [
         (index, int(label), SaxWord(row, table.alphabet_size, seg.n_effective).to_letters())
         for index, (row, label) in enumerate(zip(rows, data.labels))

@@ -39,6 +39,9 @@ _DEGENERATE_STD = 1e-12
 # values that ``_row_stats`` squares, and ``_block_means`` gathers, at once
 _CHUNK_VALUES = 2**16
 
+# ``_symbols`` searches at most this many means and counts more
+_SEARCH_MEANS = 1024
+
 
 def _as_series(values, name: str = "series") -> np.ndarray:
     x = np.asarray(values, dtype=np.float64)
@@ -107,24 +110,17 @@ def _row_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     They are the row's mean and population standard deviation, with the
     bits of ``x.mean`` and ``x.std``, whose steps they repeat; the centred
     squares are taken about ``_CHUNK_VALUES`` values at a time, so no
-    full-size array exists.  A row whose standard deviation is not finite
-    but whose mean is, and whose max equals its min, is constant: its
-    mean missed its value (``np.full(10, 1e300)``'s by 1.7e284) and the
-    squares overflowed, with numpy's warning.  It gets its own value and
-    0.  :func:`znormalize` keeps that warning for a single series;
-    ``LabeledDataset._stats`` silences it once per split, as entering
-    ``np.errstate`` here would cost each ``znormalize`` call about 1 µs.
-    Any other non-finite standard deviation raises ValueError, which
-    for finite ``x`` also covers the means.
-    A row whose standard deviation is below ``_DEGENERATE_STD`` is constant
-    and gets ``mean - 1.0`` and ``+inf`` instead, which make every value
-    ``+0.0``.  Its values lie within sd·√n < 0.5 of the mean for n < 10^23.
-    If |mean| < 2^53, ``mean - 1.0`` rounds to at most ``mean - 0.5``, so
-    each centred value is positive and divides by ``+inf`` to ``+0.0``;
-    otherwise doubles are at least 1 apart, so every value is the mean and
-    centres to ``+0.0`` or above.  That covers mixed ``0.0`` and ``-0.0``
-    and ±``np.finfo(float).max``, with no overflow or NaN.  They serve
-    :func:`znormalize` and, cached as ``LabeledDataset._stats``, :func:`_block_means`.
+    full-size array exists.  A row is constant if its standard deviation
+    is below ``_DEGENERATE_STD``, or is not finite while its mean is and
+    its max equals its min: ``np.full(10, 1e300)``'s mean misses its value
+    and the squares overflow, with numpy's warning, which ``znormalize``
+    keeps and ``LabeledDataset._stats`` silences once per split (entering
+    ``np.errstate`` here would cost each ``znormalize`` about 1 µs).  Any
+    other non-finite standard deviation raises ValueError, which for
+    finite ``x`` also covers the means.  A constant row gets ``min - 1.0``
+    and ``+inf``: every value is at least the row's min, so it centres to
+    ``+0.0`` or above and divides to ``+0.0``.  They serve :func:`znormalize`
+    and, cached as ``LabeledDataset._stats``, :func:`_block_means`.
     """
     n = x.shape[-1]
     # x.mean's own steps, without its Python-level overhead (about 2 µs a call)
@@ -139,16 +135,13 @@ def _row_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         np.add.reduce(d, axis=-1, out=sums[i0:i0 + step])
     sd /= n
     np.sqrt(sd, out=sd)
-    if not np.isfinite(sd).all():
+    usual = (sd >= _DEGENERATE_STD) & (sd < np.inf)
+    if not usual.all():
         lo = x.min(axis=-1, keepdims=True)
-        same = ~np.isfinite(sd) & np.isfinite(mean) & (x.max(axis=-1, keepdims=True) == lo)
-        mean[same], sd[same] = lo[same], 0.0
-        if not np.isfinite(sd).all():
+        flat = ~usual & ((sd < _DEGENERATE_STD) | (np.isfinite(mean) & (x.max(axis=-1, keepdims=True) == lo)))
+        if not (usual | flat).all():
             raise ValueError("series contains non-finite values")
-    flat = sd < _DEGENERATE_STD
-    if flat.any():
-        mean[flat] -= 1.0
-        sd[flat] = np.inf
+        mean[flat], sd[flat] = lo[flat] - 1.0, np.inf
     return mean, sd
 
 
@@ -182,27 +175,22 @@ def _block_means(x: np.ndarray, seg: Segmentation, mean: np.ndarray | None = Non
     return out
 
 
-def _symbol_matrix(means: np.ndarray, table: AlphabetTable) -> np.ndarray:
-    """:func:`symbolize` of every row of ``means``, read-only int64; a split's are counted by :func:`_count_symbols`."""
-    symbols = np.searchsorted(table.breakpoints, means, side="left").astype(np.int64, copy=False)
-    symbols.flags.writeable = False
-    return symbols
+def _symbols(means: np.ndarray, table: AlphabetTable) -> np.ndarray:
+    """Each mean's symbol under ``table``, the number of its breakpoints strictly below it, read-only int64.
 
-
-def _count_symbols(means: np.ndarray, table: AlphabetTable) -> np.ndarray:
-    """The read-only int64 symbols of :func:`_symbol_matrix` for ``means`` under ``table``.
-
-    A mean's symbol is the number of the table's breakpoints strictly below
-    it, so ``means > b`` is counted over its breakpoints into a uint8
-    array, which its at most ``MAX_ALPHABET - 1`` breakpoints cannot
-    overflow.  On a split's means that is several times faster than
-    ``np.searchsorted``, which :func:`_symbol_matrix` keeps for single
-    words: on 64 means the search takes about 3 µs, the count 7-29 µs.
+    Up to ``_SEARCH_MEANS`` means, a word's or a bound audit's, take
+    ``np.searchsorted``, the faster up to about 1,000 means.  More, a
+    split's, are counted ``means > b`` per breakpoint into uint8, which at
+    most ``MAX_ALPHABET - 1`` breakpoints cannot overflow; the count is the
+    faster from about 2,000 means.
     """
-    count = np.zeros(means.shape, dtype=np.uint8)
-    for b in table.breakpoints:
-        count += means > b
-    symbols = count.astype(np.int64)
+    if means.size <= _SEARCH_MEANS:
+        symbols = np.searchsorted(table.breakpoints, means, side="left").astype(np.int64, copy=False)
+    else:
+        count = np.zeros(means.shape, dtype=np.uint8)
+        for b in table.breakpoints:
+            count += means > b
+        symbols = count.astype(np.int64)
     symbols.flags.writeable = False
     return symbols
 
@@ -417,4 +405,4 @@ def symbolize(vector: PaaVector, table: AlphabetTable) -> SaxWord:
     the interval below it.  Equivalently, the symbol index is the number of
     breakpoints strictly less than the mean.
     """
-    return SaxWord(_symbol_matrix(vector.means, table), table.alphabet_size, vector.source_length)
+    return SaxWord(_symbols(vector.means, table), table.alphabet_size, vector.source_length)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from trendsax.core import (AlphabetTable, SaxWord, _as_series, _block_means, _symbol_matrix,
+from trendsax.core import (AlphabetTable, SaxWord, _as_series, _block_means, _symbols,
                            make_alphabet_table)
 from trendsax.segmentation import segment
 
@@ -200,5 +200,5 @@ def verify_lower_bound(
     seg = segment(scheme, len(s), m)
     table = make_alphabet_table(alphabet_size)
     # s and t as two rows of one array (euclidean checked the shapes): the same means, symbols and distance as words
-    rows = _symbol_matrix(_block_means(_as_series(np.concatenate((s, t))).reshape(2, -1), seg), table)
+    rows = _symbols(_block_means(_as_series(np.concatenate((s, t))).reshape(2, -1), seg), table)
     return LowerBoundReport(_word_distance(rows[0], rows[1], table, seg.n_effective), ed)

@@ -80,6 +80,27 @@ def test_a_side_spread_wider_than_the_bound_is_unresolved():
     assert unresolved(MODES, [70.0] * 10, PEAK)
 
 
+# wide peak_rss_mb as recorded, parent then change, in three changes whose sides fell in
+# different allocator modes; each median sits high enough that its IQR stayed under 20% of it
+RECORDED_WIDE_PEAKS = {
+    "BENCH_lazy_pool.json": (
+        [62.6641, 77.7891, 78.0625, 77.7852, 77.8164, 77.7891, 62.8125, 77.7734, 78.043, 64.3672],
+        [60.8867, 75.9961, 76.2695, 75.9336, 75.9023, 62.2344, 60.8164, 75.9023, 76.1914, 62.4766]),
+    "BENCH_one_grammar.json": (
+        [76.1016, 60.6289, 76.1992, 75.8984, 62.3203, 76.4766, 62.3242, 76.0117, 76.0117, 62.9453],
+        [75.8164, 60.625, 75.8047, 72.4336, 75.8945, 72.6406, 60.8125, 75.9141, 75.8398, 75.9336]),
+    "BENCH_quantile_tails_wide.json": (
+        [77.8711, 64.2695, 62.8203, 64.1406, 64.1641, 78.1055, 77.7305, 63.9727, 77.6875, 78.1602],
+        [77.9258, 78.0312, 62.8086, 77.75, 77.7969, 78.1094, 77.7773, 63.9102, 77.7227, 78.1094]),
+}
+
+
+@pytest.mark.parametrize("name", RECORDED_WIDE_PEAKS)
+def test_sides_split_across_the_wide_memory_modes_are_unresolved(name):
+    parent, change = RECORDED_WIDE_PEAKS[name]
+    assert unresolved(parent, change, PEAK)
+
+
 def test_tight_sides_are_resolved():
     assert not unresolved([70.0, 71.0] * 5, [75.0, 76.0] * 5, PEAK)
 

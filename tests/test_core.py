@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,7 @@ from scipy.special import ndtri
 import oracles
 import strategies
 from test_distance import tracemalloc_peak
-from trendsax import core
+from trendsax import classify, cli, core, distance
 from trendsax.core import (
     MAX_ALPHABET,
     AlphabetTable,
@@ -23,6 +24,7 @@ from trendsax.core import (
     symbolize,
     znormalize,
 )
+from trendsax.dataset import LabeledDataset
 from trendsax.segmentation import SCHEMES, Segmentation, segment
 
 
@@ -126,6 +128,15 @@ class TestZnormalize:
         with np.errstate(over="ignore"):
             assert znormalize(row).tobytes() == zeros
             assert _block_means(row[None], seg, *core._row_stats(row[None]))[0].tobytes() == zeros
+
+    def test_constant_rows_are_centred_one_below_their_min(self):
+        # one rule for a row below _DEGENERATE_STD and for a huge row whose squares overflowed
+        rows = np.array([np.full(10, 2.0), np.where(np.arange(10) % 3, 1.0, 1.0 + 2**-52),
+                         np.full(10, 1e300), np.arange(10.0)])
+        with np.errstate(over="ignore"):
+            mean, sd = core._row_stats(rows)
+        assert mean[:, 0].tolist() == [1.0, 0.0, 1e300, 4.5]
+        assert sd[:3, 0].tolist() == [np.inf] * 3 and sd[3, 0] == rows[3].std()
 
     def test_matches_reference(self):
         rng = np.random.default_rng(11)
@@ -389,27 +400,29 @@ class TestSymbolize:
         means = np.concatenate([bp, np.nextafter(bp, -np.inf), np.nextafter(bp, np.inf), [0.0, -0.0],
                                 np.random.default_rng(97).standard_normal(10**5)])[:, None]
         for table in tables:
-            rows, want = core._count_symbols(means, table), core._symbol_matrix(means, table)
+            rows, want = core._symbols(means, table), np.searchsorted(table.breakpoints, means, side="left")
             assert rows.dtype == np.int64 and np.array_equal(rows, want), table.alphabet_size
 
-    def test_symbol_matrix_allocates_its_result_once(self):
-        # a wide-workload test split: the (2345, 256) int64 result is 4.8 MB
+    def test_symbol_matrix_allocates_its_result_once(self, monkeypatch):
+        # a wide-workload test split, searched: the (2345, 256) int64 result is 4.8 MB
         means = np.random.default_rng(98).standard_normal((2345, 256))
         table = make_alphabet_table(10)
+        monkeypatch.setattr(core, "_SEARCH_MEANS", means.size)
         tracemalloc.start()
         try:
-            symbols = core._symbol_matrix(means, table)
+            symbols = core._symbols(means, table)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * symbols.nbytes
 
-    def test_counting_equals_the_search_at_every_breakpoint(self):
+    def test_counting_equals_the_search_at_every_breakpoint(self, monkeypatch):
         table = make_alphabet_table(MAX_ALPHABET)
         bp = table.breakpoints
         means = np.stack([bp, np.nextafter(bp, -np.inf), np.nextafter(bp, np.inf)])
-        rows = core._count_symbols(means, table)
-        assert rows.dtype == np.int64 and np.array_equal(rows, core._symbol_matrix(means, table))
+        rows = core._symbols(means, table)
+        monkeypatch.setattr(core, "_SEARCH_MEANS", 0)
+        assert rows.dtype == np.int64 and np.array_equal(rows, core._symbols(means, table))
         assert rows[0].tolist() == rows[1].tolist() == list(range(MAX_ALPHABET - 1))
         assert rows[2].tolist() == list(range(1, MAX_ALPHABET))
 
@@ -417,7 +430,59 @@ class TestSymbolize:
         # the same split as above, symbolized by counting: a uint8 count and its comparisons are 1/8 each
         means = np.random.default_rng(98).standard_normal((2345, 256))
         table = make_alphabet_table(10)
-        assert tracemalloc_peak(core._count_symbols, means, table) < 1.5 * means.size * 8
+        assert means.size > core._SEARCH_MEANS
+        assert tracemalloc_peak(core._symbols, means, table) < 1.5 * means.size * 8
+
+    @pytest.mark.parametrize("copies", [1, 2], ids=["within the search threshold", "beyond it"])
+    def test_search_and_count_give_equal_symbols(self, monkeypatch, copies):
+        # means on, just below and just above every breakpoint of every size, and both zeros
+        tables = [make_alphabet_table(alpha) for alpha in range(2, MAX_ALPHABET + 1)]
+        bp = np.concatenate([table.breakpoints for table in tables])
+        row = np.concatenate([bp, np.nextafter(bp, -np.inf), np.nextafter(bp, np.inf), [0.0, -0.0]])
+        means = np.tile(row, (copies, 1))
+        default = core._SEARCH_MEANS
+        assert (means.size <= default) == (copies == 1)
+        for table in tables:
+            want = np.searchsorted(table.breakpoints, means, side="left")
+            for threshold in (default, 0, means.size + 1):
+                monkeypatch.setattr(core, "_SEARCH_MEANS", threshold)
+                symbols = core._symbols(means, table)
+                assert symbols.dtype == np.int64 and not symbols.flags.writeable
+                assert np.array_equal(symbols, want), (table.alphabet_size, threshold)
+
+    def test_every_caller_takes_its_symbols_from_core(self, monkeypatch, mini_dir, capsys):
+        # classify, cli and distance bind core._symbols by name: wrap each binding
+        calls = []
+        symbols = core._symbols
+
+        def spy(means, table):
+            calls.append(means.shape)
+            return symbols(means, table)
+
+        bound = [module for name, module in sys.modules.items()
+                 if name.split(".")[0] == "trendsax" and getattr(module, "_symbols", None) is symbols]
+        assert {module.__name__ for module in bound} >= {"trendsax.core", "trendsax.classify",
+                                                        "trendsax.cli", "trendsax.distance"}
+        for module in bound:
+            monkeypatch.setattr(module, "_symbols", spy)
+        rng = np.random.default_rng(99)
+        s, t = znormalize(rng.standard_normal(64)), znormalize(rng.standard_normal(64))
+        train = LabeledDataset(rng.standard_normal((12, 64)), np.arange(12) % 2)
+        uses = {
+            "symbolize": lambda: symbolize(paa(s, segment("classic", 64, 16)), make_alphabet_table(5)),
+            "verify_lower_bound": lambda: distance.verify_lower_bound(s, t, "split", 16, 5),
+            "tune_alphabet": lambda: classify.tune_alphabet(train, "overlap", 8, range(3, 6)),
+            "evaluate": lambda: classify.evaluate(train, train, "intertwine", 8, range(3, 6)),
+            "convert": lambda: cli.main(["convert", str(mini_dir / "Mini_TRAIN.txt")]),
+        }
+        reached = {}
+        for name, use in uses.items():
+            calls.clear()
+            use()
+            reached[name] = len(calls)
+        capsys.readouterr()
+        assert reached == {"symbolize": 1, "verify_lower_bound": 1, "tune_alphabet": 4,
+                           "evaluate": 5, "convert": 1}
 
     def test_word_metadata(self):
         table = make_alphabet_table(5)

@@ -149,7 +149,8 @@ def test_only_the_table_squares_its_distances(path):
 
 # an internal format and the modules that may use it: its owner and the layer that
 # consumes it; the bound audit takes block means of raw pairs, so distance may too;
-# the zero rule for constant rows has core as its one user
+# the zero rule for constant rows, and the choice between searching and counting
+# symbols, have core as their one user
 FORMAT_USERS = {
     "_sq": {"core", "distance"},
     "_sq32": {"core", "distance"},
@@ -157,6 +158,8 @@ FORMAT_USERS = {
     "_row_stats": {"core", "dataset"},
     "_block_means": {"core", "dataset", "distance"},
     "_DEGENERATE_STD": {"core"},
+    "_SEARCH_MEANS": {"core"},
+    "searchsorted": {"core"},
 }
 
 

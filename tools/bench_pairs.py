@@ -16,9 +16,11 @@ verdicts follow: ``gain_rule_met``, the change is better in at least
 parent's interquartile range; ``within_bound``, the change's median
 is worse than the parent's by no more than the metric's relative
 ``bound``; and ``unresolved``, either side's interquartile range is
-wider than ``bound`` times that side's median, so the runs spread too
-widely to call the metric unchanged, unless every change run is better
-than every parent run.
+wider than ``bound`` times that side's lower quartile, so the runs
+spread too widely to call the metric unchanged, unless every change run
+is better than every parent run.  The lower quartile, not the median,
+sees a side split between two levels about ``bound`` apart, as ``wide``'s
+two ``peak_rss_mb`` modes are.
 """
 
 from __future__ import annotations
@@ -98,7 +100,7 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
             q1, q3 = np.percentile(values["parent"], [25, 75])
             c1, c3 = np.percentile(values["change"], [25, 75])
             gain = (parent - change) if lower else (change - parent)
-            wide = q3 - q1 > metric["bound"] * parent or c3 - c1 > metric["bound"] * change
+            wide = q3 - q1 > metric["bound"] * q1 or c3 - c1 > metric["bound"] * c1
             separated = (max(values["change"]) < min(values["parent"]) if lower
                          else min(values["change"]) > max(values["parent"]))
             out[name] = {
