@@ -212,6 +212,35 @@ def test_generated_file_takes_the_c_reader(tmp_path):
     assert fast.labels.tolist() == lines.labels.tolist()
 
 
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+def test_c_reader_is_sized_for_every_row(tmp_path, monkeypatch, end):
+    # given max_rows, numpy's reader allocates the table once instead of growing it
+    lines = _generated_text(seed=2, rows=40, n=8).splitlines()
+    path = tmp_path / "d.txt"
+    path.write_bytes(end.join(lines[:20] + [""] + lines[20:]).encode())
+    bounds = []
+    loadtxt = np.loadtxt
+
+    def spy(*args, **kwargs):
+        bounds.append(kwargs["max_rows"])
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    fast = dataset._load_fast(path)
+    assert bounds == [dataset._line_bound(path)] and bounds[0] >= 40
+    assert fast.series.tobytes() == dataset._load_lines(path).series.tobytes()
+
+
+def test_line_bound_counts_every_line_end(tmp_path):
+    path = tmp_path / "d.txt"
+    path.write_bytes(b"1,2\n2,3\r\n3,4\r4,5")
+    assert dataset._line_bound(path) == 5  # \r\n counts twice: a bound, not a count
+    path.write_bytes(b"")
+    assert dataset._line_bound(path) == 1
+    path.write_bytes(b"1,2\n" * 40000)  # past one read block
+    assert dataset._line_bound(path) == 40001
+
+
 class TestDatasetPair:
     def test_loads_mini_fixture(self, mini_dir):
         pair = load_dataset_pair(mini_dir)
