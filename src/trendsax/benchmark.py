@@ -1,8 +1,9 @@
 """Multi-dataset evaluation matrix and report rendering.
 
-A benchmark runs :func:`trendsax.classify.evaluate` for every requested
-segmentation scheme on every dataset, then renders the resulting matrix
-as CSV, JSON, or an aligned text table.  Output is deterministic: given
+A benchmark tunes and scores every requested segmentation scheme on
+every dataset as :func:`trendsax.classify.evaluate` does, each test split
+scored once for all schemes, then renders the resulting matrix as CSV,
+JSON, or an aligned text table.  Output is deterministic: given
 the same inputs it is byte-identical regardless of worker count.
 """
 
@@ -18,9 +19,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from trendsax.classify import DEFAULT_ALPHABET_RANGE, EvaluationReport, _normalized_alphabet_range, evaluate
+from trendsax.classify import DEFAULT_ALPHABET_RANGE, EvaluationReport, _evaluate, _normalized_alphabet_range
 from trendsax.core import _as_integers
-from trendsax.dataset import DatasetPair, load_dataset_pair
+from trendsax.dataset import DatasetPair, _stream_dataset_pair
+from trendsax.distance import _CHUNK_BUDGET
 from trendsax.segmentation import SCHEMES, _check_scheme
 
 if TYPE_CHECKING:
@@ -115,26 +117,15 @@ class BenchmarkMatrix:
         return min((report.test_error for report in row.reports.values()), default=None)
 
 
-def _evaluate_pair(pair: DatasetPair, config: BenchmarkConfig) -> dict[str, EvaluationReport]:
-    """The report of every scheme in ``config`` on ``pair``, in config order."""
-    m = config.word_count_for(pair.train.n)
-    return {
-        scheme: evaluate(
-            pair.train,
-            pair.test,
-            scheme=scheme,
-            m=m,
-            alphabet_range=config.alphabet_range,
-            dataset=pair.name,
-        )
-        for scheme in config.schemes
-    }
-
-
 def _dataset_row(source: DatasetPair | Path, config: BenchmarkConfig) -> BenchmarkRow:
     try:
-        pair = source if isinstance(source, DatasetPair) else load_dataset_pair(source)
-        return BenchmarkRow(pair.name, _evaluate_pair(pair, config))
+        if isinstance(source, DatasetPair):
+            train, test_blocks = source.train, [source.test]
+        else:
+            train, test_blocks = _stream_dataset_pair(source, _CHUNK_BUDGET)
+        reports = _evaluate(train, test_blocks, config.schemes, config.word_count_for(train.n),
+                            config.alphabet_range, source.name)
+        return BenchmarkRow(source.name, dict(zip(config.schemes, reports)))
     except Exception as exc:
         return _failed_row(source, exc)
 
@@ -205,9 +196,12 @@ def run_benchmark(
 ) -> BenchmarkMatrix:
     """Evaluate every scheme on every dataset.
 
-    Each dataset is a loaded :class:`DatasetPair` or a directory that
-    :func:`~trendsax.dataset.load_dataset_pair` reads inside the row, so
-    a directory's arrays exist only while its row runs.  Datasets are
+    Each dataset is a loaded :class:`DatasetPair` or a directory read
+    inside the row, as :func:`~trendsax.dataset.load_dataset_pair` reads
+    it, except that its test split comes in blocks of about
+    ``distance._CHUNK_BUDGET`` values, each scored under every scheme as
+    it is read: the test split is never held whole, whatever its size,
+    and the training split only while its row runs.  Datasets are
     independent, so with ``config.jobs > 1`` they are dispatched to a
     process pool; results keep input order either way.  A dataset that
     fails to load or to score, or whose worker process dies, is recorded

@@ -100,8 +100,7 @@ class TunedModel:
     and reads as a sequence of ``(SaxWord, label)`` pairs built on demand.
     ``nn1`` scores those rows as they are, with no stacking and no
     per-word check, and with their float32 one-hot (N × m·α values),
-    built on the first ``nn1`` call or test scoring and kept with the
-    rows.  Rows given here are checked once against ``table``; any other sequence of pairs
+    built on the first ``nn1`` call and kept with the rows.  Rows given here are checked once against ``table``; any other sequence of pairs
     is checked word by word and stored as rows the same way.  Construction sets ``m`` from the words and
     ``alphabet_size`` from ``table``.
     """
@@ -210,31 +209,43 @@ def evaluate(train: LabeledDataset, test: LabeledDataset, scheme: str, m: int,
 
     Each split is held once, as its raw rows and their row statistics;
     ``LabeledDataset._means`` gives the z-normalized block means of a row
-    range.  The test split is scored in row chunks of
-    ``distance._CHUNK_BUDGET // m`` rows: block means, symbols and nearest
-    training rows, one chunk at a time, so the split's z-normalized
-    values, means and symbols are never held whole.
+    range.  The test split is scored by ``_evaluate``, in row chunks, so
+    its z-normalized values, means and symbols are never held whole.
     """
     if train.n != test.n:
         raise ValueError(f"train and test series lengths differ: {train.n} vs {test.n}")
-    model, train_error = _tune(train, scheme, m, alphabet_range)
-    seg = segment(scheme, test.n, m)
-    words, table = model.train_words, model.table
-    total = len(test)
-    misclassified = 0
-    step = max(1, distance._CHUNK_BUDGET // seg.m)
-    for i0 in range(0, total, step):
-        rows = slice(i0, i0 + step)
-        # one expression, so a chunk's symbols are freed before the next chunk's means are taken
-        nearest = _nearest(_symbols(test._means(seg, rows), table), words.rows, table, h=words.one_hot)
-        misclassified += int((words.labels[nearest] != test.labels[rows]).sum())
-    return EvaluationReport(
-        dataset=dataset,
-        scheme=scheme,
-        alpha=model.alphabet_size,
-        m=seg.m,
-        train_error=train_error,
-        test_error=misclassified / total,
-        misclassified=misclassified,
-        total=total,
-    )
+    [report] = _evaluate(train, [test], [scheme], m, alphabet_range, dataset)
+    return report
+
+
+def _evaluate(train: LabeledDataset, test_blocks: Iterable[LabeledDataset], schemes: Sequence[str], m: int,
+              alphabet_range: Iterable[int], dataset: str) -> list[EvaluationReport]:
+    """``evaluate``'s report under each of ``schemes``, with the test split given as row blocks of ``train``'s length.
+
+    Every scheme is tuned on ``train`` first.  Then each block is scored
+    under every tuned model before the next block is taken, so blocks
+    read as they are asked for are read once for all schemes.  A block is
+    scored in row chunks of ``distance._CHUNK_BUDGET // m`` rows: block
+    means, symbols and nearest training rows, one chunk at a time.
+    ``_nearest`` builds a model's one-hot on each call: kept, every
+    model's would be held at once.
+    """
+    tuned = [(_tune(train, scheme, m, alphabet_range), segment(scheme, train.n, m)) for scheme in schemes]
+    misclassified = [0] * len(tuned)
+    total = 0
+    for block in test_blocks:
+        total += len(block)
+        for k, ((model, _), seg) in enumerate(tuned):
+            words, table = model.train_words, model.table
+            step = max(1, distance._CHUNK_BUDGET // seg.m)
+            for i0 in range(0, len(block), step):
+                rows = slice(i0, i0 + step)
+                # one expression, so a chunk's symbols are freed before the next chunk's means are taken
+                nearest = _nearest(_symbols(block._means(seg, rows), table), words.rows, table)
+                misclassified[k] += int((words.labels[nearest] != block.labels[rows]).sum())
+        del block  # so a block read as it is asked for is freed before the next is read
+    return [
+        EvaluationReport(dataset=dataset, scheme=scheme, alpha=model.alphabet_size, m=seg.m,
+                         train_error=train_error, test_error=wrong / total, misclassified=wrong, total=total)
+        for scheme, ((model, train_error), seg), wrong in zip(schemes, tuned, misclassified)
+    ]

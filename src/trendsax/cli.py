@@ -23,12 +23,11 @@ from trendsax.benchmark import (
     BenchmarkConfig,
     REPORT_FORMATS,
     _csv_text,
-    _evaluate_pair,
     emit_report,
     report_fields,
     run_benchmark,
 )
-from trendsax.classify import DEFAULT_ALPHABET_RANGE
+from trendsax.classify import DEFAULT_ALPHABET_RANGE, evaluate
 from trendsax.core import SaxWord, _symbols, make_alphabet_table
 from trendsax.dataset import _discover_datasets, load_dataset_pair, load_ucr
 from trendsax.distance import verify_lower_bound
@@ -148,7 +147,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     config = BenchmarkConfig(schemes=(scheme,), alphabet_range=args.alphabet_range,
                              word_count=args.word_count, ratio=args.ratio)
     pair = load_dataset_pair(args.dataset)
-    report = _evaluate_pair(pair, config)[scheme]
+    report = evaluate(pair.train, pair.test, scheme, config.word_count_for(pair.train.n),
+                      config.alphabet_range, pair.name)
     record = {"dataset": report.dataset, "scheme": report.scheme, **report_fields(report)}
     if args.format == "json":
         text = json.dumps(record, indent=2) + "\n"

@@ -7,10 +7,10 @@ rows in a file must have the same number of values.  Labels written as
 reals are accepted when they are within 1e-6 of an integer.
 
 A line ends at ``\n``, ``\r\n`` or ``\r``, and whitespace at the edges
-of a field is ignored.  numpy's C reader goes first; when it refuses a
-file, or its table fails a check, the line parser reads the file again
-and names the first offending line.  Where both accept a file they give
-equal arrays.
+of a field is ignored.  numpy's C reader goes first, on the whole file
+or on consecutive blocks of rows; when it refuses a block, or its table
+fails a check, the line parser reads the file again and names the first
+offending line.  Where both accept a file they give equal arrays.
 
 A dataset directory holds one ``*_TRAIN*`` and one ``*_TEST*`` series
 file; ``_discover_datasets`` finds such directories, or their children.
@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -134,26 +135,58 @@ def load_ucr(path) -> LabeledDataset:
     unparseable or non-finite values, non-integer labels.
     """
     path = Path(path)
+    # one block holds every row: the bound lets numpy's reader allocate the
+    # table once, where growing it by realloc could leave its touched old
+    # copy in glibc's heap
+    [data] = _read_blocks(path, _line_bound(path))
+    return data
+
+
+def _read_blocks(path: Path, rows: int) -> Iterator[LabeledDataset]:
+    """``load_ucr(path)`` as consecutive blocks of at most ``rows`` rows, each read when it is asked for.
+
+    The file is opened once, in text mode, whose lines end where the
+    grammar's do.  A block is numpy's C reader on the next ``rows`` rows
+    (``_read_table``), which stops after its last row, so the next block
+    starts where it ended; a block starts only at a line that is not blank,
+    so the reader never meets an exhausted file.  When a block fails, or
+    its width differs from the first block's, the line parser reads the
+    whole file: it raises the error ``load_ucr`` gives, or gives equal
+    rows, and the rows not yet given follow from it.
+    """
+    given = 0
     try:
-        return _load_fast(path)
+        with path.open() as fh:
+            delimiter = width = None
+            while (line := next(filter(str.strip, fh), None)) is not None:
+                delimiter = delimiter or _detect_delimiter(line.strip())
+                block = _read_table(chain([line], fh), delimiter, rows)
+                if block.n != (width or block.n):
+                    raise ValueError("rows of different widths")
+                width, given = block.n, given + len(block)
+                yield block
+                del block  # so the next block is read with this one freed
+        if given:
+            return
     except ValueError:
-        return _load_lines(path)
+        pass
+    whole = _load_lines(path)
+    for i in range(given, len(whole), rows):
+        yield LabeledDataset(whole.series[i:i + rows], whole.labels[i:i + rows])
 
 
-def _load_fast(path: Path) -> LabeledDataset:
-    """numpy's C reader; ValueError for any file the line parser must judge.
+def _read_table(lines, delimiter: str, rows: int) -> LabeledDataset:
+    """numpy's C reader on up to ``rows`` rows of ``lines``; ValueError for any table the line parser must judge.
 
     A non-finite label, a label more than 1e-6 from an integer or a table
     that ``LabeledDataset`` refuses (no values, a non-finite value, a label
-    outside int64) is left to the line parser.
-
-    A row bound (``_line_bound``) lets the reader allocate the table once;
-    grown by ``realloc``, its touched old copy could stay in glibc's heap.
+    outside int64) is left to the line parser.  numpy warns of each blank
+    line it skips short of ``max_rows``; the grammar skips blank lines, so
+    that warning alone is silenced.
     """
-    with path.open() as fh:
-        first = next((line for line in fh if line.strip()), "")
-    table = np.loadtxt(path, delimiter=_detect_delimiter(first.strip()), comments=None,
-                       ndmin=2, dtype=np.float64, max_rows=_line_bound(path))
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", r"Input line \d+ contained no data", UserWarning)
+        table = np.loadtxt(lines, delimiter=delimiter, comments=None, ndmin=2, dtype=np.float64, max_rows=rows)
     labels = np.round(table[:, 0])
     # finite first: an infinite label would warn in the subtraction
     if not np.isfinite(table[:, 0]).all() or (np.abs(table[:, 0] - labels) > 1e-6).any():
@@ -216,13 +249,19 @@ class DatasetPair:
     test: LabeledDataset
 
     def __post_init__(self) -> None:
-        if self.train.n != self.test.n:
-            raise ValueError(
-                f"dataset {self.name!r}: train length {self.train.n} != test length {self.test.n}"
-            )
-        unseen = np.setdiff1d(self.test.labels, self.train.labels).tolist()
-        if unseen:
-            warnings.warn(f"dataset {self.name!r}: test labels {unseen} never occur in training data", stacklevel=2)
+        _check_lengths(self.name, self.train, self.test)
+        _warn_unseen(self.name, set(self.test.labels.tolist()) - set(self.train.labels.tolist()))
+
+
+def _check_lengths(name: str, train: LabeledDataset, test: LabeledDataset) -> None:
+    if train.n != test.n:
+        raise ValueError(f"dataset {name!r}: train length {train.n} != test length {test.n}")
+
+
+def _warn_unseen(name: str, unseen: set[int]) -> None:
+    # a set, not np.setdiff1d, whose first call imports numpy.ma: 1.6 MB and about 20 ms
+    if unseen:
+        warnings.warn(f"dataset {name!r}: test labels {sorted(unseen)} never occur in training data", stacklevel=3)
 
 
 def _split_files(directory: Path, split: str) -> list[Path]:
@@ -276,3 +315,34 @@ def load_dataset_pair(directory) -> DatasetPair:
     train = load_ucr(_find_split(directory, "TRAIN"))
     test = load_ucr(_find_split(directory, "TEST"))
     return DatasetPair(directory.name, train, test)
+
+
+def _stream_dataset_pair(directory, values: int) -> tuple[LabeledDataset, Iterator[LabeledDataset]]:
+    """``load_dataset_pair(directory)``'s splits, the test split as blocks of about ``values`` values.
+
+    The training split is loaded whole; the test split comes from
+    ``_read_blocks`` in blocks of ``max(1, values // n)`` rows, each read
+    when it is asked for and freed before the next is read, so one block
+    is held at a time.  Its first block is read here, so a missing, empty
+    or malformed start of the test file, or a series length that differs
+    from the training split's, raises here as ``load_dataset_pair``
+    raises it.  The unseen-label warning of ``DatasetPair`` comes once,
+    after the last block.
+    """
+    directory = _dataset_directory(directory)
+    train = load_ucr(_find_split(directory, "TRAIN"))
+    blocks = _read_blocks(_find_split(directory, "TEST"), max(1, values // train.n))
+    first = next(blocks)
+    _check_lengths(directory.name, train, first)
+    # chain keeps its arguments to the end: the list's iterator drops the first block once given, the list would not
+    return train, _warned_after(directory.name, train, chain(iter([first]), blocks))
+
+
+def _warned_after(name: str, train: LabeledDataset, blocks: Iterator[LabeledDataset]) -> Iterator[LabeledDataset]:
+    """``blocks``, then ``DatasetPair``'s warning for the labels among them that ``train`` lacks."""
+    labels: set[int] = set()
+    for block in blocks:
+        labels.update(block.labels.tolist())
+        yield block
+        del block  # so the next block is read with this one freed
+    _warn_unseen(name, labels - set(train.labels.tolist()))

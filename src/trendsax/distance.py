@@ -90,8 +90,9 @@ def _nearest(a: np.ndarray, b: np.ndarray, table: AlphabetTable, leave_one_out: 
     ``argmin`` along each row, the first exact minimum, decides them.
     ``E`` is gathered with ``np.take`` from the float32 table ``table._sq32``.
     ``h`` is ``H`` when the caller holds it (a tuned model builds it once
-    for its test scoring and all its ``nn1`` queries); it is built here
-    when not given.
+    for all its ``nn1`` queries); it is built here when not given, as
+    test scoring leaves it, so that the models it scores together hold
+    one at a time.
     ``leave_one_out`` scores ``a`` against itself (``b is a``) without the
     diagonal.  A row chunk holds about ``_CHUNK_BUDGET`` values of ``E``,
     of ``P`` and of the refine matrix, and the refine step gathers its

@@ -3,6 +3,8 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 
@@ -315,6 +317,118 @@ class TestRunBenchmark:
         for row in reversed_matrix.rows:
             assert row.reports == forward[row.dataset].reports
         assert reversed_matrix.win_counts == suite_matrix.win_counts
+
+
+def write_dataset(directory, n, n_train, n_test, seed=0, classes=3):
+    """A dataset directory of random-walk series, labels cycling through ``classes``."""
+    rng = np.random.default_rng(seed)
+    directory.mkdir(parents=True)
+    for split, rows in (("TRAIN", n_train), ("TEST", n_test)):
+        table = np.column_stack([np.arange(rows) % classes + 1, rng.standard_normal((rows, n)).cumsum(axis=1)])
+        np.savetxt(directory / f"{directory.name}_{split}.txt", table, fmt=["%d"] + ["%.6f"] * n, delimiter=",")
+
+
+def loaded_matrix(directory, config):
+    """``directory``'s matrix with both splits loaded whole before scoring, as ``load_dataset_pair`` loads them."""
+    try:
+        rows = run_benchmark([load_dataset_pair(directory)], config).rows
+    except Exception as exc:
+        rows = (benchmark._failed_row(directory, exc),)
+    return BenchmarkMatrix(rows, benchmark._count_wins(rows, config.schemes))
+
+
+def replace_test_lines(test, edit):
+    lines = test.read_text().splitlines()
+    test.write_text("".join(line + "\n" for line in edit(lines)))
+
+
+# damage to a 30-row test split read in blocks of 4 rows
+TEST_DAMAGE = {
+    "missing": lambda test: test.unlink(),
+    "empty": lambda test: test.write_text(""),
+    "longer-series": lambda test: replace_test_lines(test, lambda lines: [line + ",0.5" for line in lines]),
+    "bad-value-in-a-later-block": lambda test: replace_test_lines(
+        test, lambda lines: lines[:25] + ["2,x" + lines[25][1:]] + lines[26:]),
+    "shorter-rows-in-a-later-block": lambda test: replace_test_lines(
+        test, lambda lines: lines[:12] + [line.rsplit(",", 1)[0] for line in lines[12:]]),
+    "fractional-label-in-a-later-block": lambda test: replace_test_lines(
+        test, lambda lines: lines[:17] + ["1.5" + lines[17][1:]] + lines[18:]),
+}
+
+
+class TestStreamedDirectories:
+    """A directory's test split is read in blocks as it is scored, with the rows a loaded pair gives."""
+
+    CONFIG = BenchmarkConfig(alphabet_range=(3, 4, 5))
+
+    @pytest.fixture
+    def small_blocks(self, monkeypatch):
+        # 4 rows of 16 values a block
+        monkeypatch.setattr(benchmark, "_CHUNK_BUDGET", 64)
+
+    @pytest.mark.parametrize("damage", TEST_DAMAGE.values(), ids=TEST_DAMAGE.keys())
+    def test_failed_row_matches_the_loaded_pair(self, tmp_path, damage, small_blocks):
+        directory = tmp_path / "Damaged"
+        write_dataset(directory, n=16, n_train=12, n_test=30)
+        damage(directory / "Damaged_TEST.txt")
+        matrix = run_benchmark([directory], self.CONFIG)
+        assert matrix.rows[0].error is not None
+        for fmt in ("csv", "json"):
+            assert emit_report(matrix, fmt) == emit_report(loaded_matrix(directory, self.CONFIG), fmt)
+
+    def test_blocks_give_the_loaded_pair_reports(self, tmp_path, small_blocks):
+        directory = tmp_path / "Whole"
+        write_dataset(directory, n=16, n_train=12, n_test=30)
+        matrix = run_benchmark([directory], self.CONFIG)
+        assert matrix.rows[0].error is None
+        assert matrix == loaded_matrix(directory, self.CONFIG)
+
+    def test_unseen_label_warns_once_as_the_loaded_pair_does(self, tmp_path, small_blocks):
+        directory = tmp_path / "Unseen"
+        write_dataset(directory, n=16, n_train=12, n_test=30)
+        replace_test_lines(directory / "Unseen_TEST.txt",
+                           lambda lines: lines[:21] + ["9" + lines[21][1:], "7" + lines[22][1:]] + lines[23:])
+        runs = []
+        for matrix_of in (lambda: run_benchmark([directory], self.CONFIG),
+                          lambda: loaded_matrix(directory, self.CONFIG)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                matrix = matrix_of()
+            runs.append(([str(w.message) for w in caught], emit_report(matrix, "json")))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", UserWarning)
+                runs.append(emit_report(matrix_of(), "json"))
+        assert runs[0] == runs[2]
+        assert runs[0][0] == ["dataset 'Unseen': test labels [7, 9] never occur in training data"]
+        assert runs[1] == runs[3]
+        assert "UserWarning: dataset 'Unseen': test labels [7, 9]" in runs[1]
+
+    def test_streamed_row_holds_a_fraction_of_the_test_split(self, tmp_path):
+        # a 16.4 MB test table read 512 rows at a time: the peak is one 2.1 MB
+        # block, its symbols under one scheme (0.5 MB) and the 1NN filter's
+        # own working set (1.3 MB), 4.4 MB, where loading it whole costs the table
+        directory = tmp_path / "Long"
+        write_dataset(directory, n=512, n_train=20, n_test=4000)
+        config = BenchmarkConfig()
+        loaded = loaded_matrix(directory, config)  # also makes every lazy import before tracing
+        tracemalloc.start()
+        try:
+            row = benchmark._dataset_row(directory, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert row == loaded.rows[0] and row.error is None
+        assert peak < 4000 * 512 * 8 / 3
+
+    def test_jobs_do_not_change_the_report(self, tmp_path):
+        # 2**18 // 2048 = 128 rows a block, in the workers too
+        directories = [tmp_path / "Walk", tmp_path / "Wander"]
+        for seed, directory in enumerate(directories):
+            write_dataset(directory, n=2048, n_train=12, n_test=200, seed=seed)
+        reports = [emit_report(run_benchmark(directories, BenchmarkConfig(alphabet_range=(3, 4), jobs=jobs)), "csv")
+                   for jobs in (1, 2)]
+        loaded = [load_dataset_pair(directory) for directory in directories]
+        assert reports[0] == reports[1] == emit_report(run_benchmark(loaded, BenchmarkConfig(alphabet_range=(3, 4))), "csv")
 
 
 class TestEmitReport:

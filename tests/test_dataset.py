@@ -1,5 +1,6 @@
 import sys
 import unicodedata
+import warnings
 
 import numpy as np
 import pytest
@@ -178,11 +179,17 @@ def test_load_ucr_agrees_with_line_parser_on_every_odd_character(tmp_path):
 FIELD_WHITESPACE = "\v\f\x1c\x1d\x1e\x1f\x85\u2028\u2029"
 
 
+def _c_reader(path):
+    """numpy's reader and its checks alone on every row of a comma-separated file, as ``load_ucr`` calls them."""
+    with path.open() as fh:
+        return dataset._read_table(fh, ",", dataset._line_bound(path))
+
+
 @pytest.mark.parametrize("c", FIELD_WHITESPACE, ids=lambda c: f"U+{ord(c):04X}")
 def test_odd_whitespace_inside_a_line_is_field_whitespace(tmp_path, c):
     path = tmp_path / "d.txt"
     path.write_bytes(f"1,2{c},3\n".encode("utf-8"))
-    dataset._load_fast(path)
+    _c_reader(path)
     for parse in (load_ucr, dataset._load_lines):
         data = parse(path)
         assert data.labels.tolist() == [1]
@@ -206,7 +213,7 @@ def test_invalid_utf8_raises_as_the_line_parser_does(tmp_path):
 def test_generated_file_takes_the_c_reader(tmp_path):
     path = tmp_path / "d.txt"
     path.write_text(_generated_text(seed=1, rows=30, n=200))
-    fast = dataset._load_fast(path)
+    fast = _c_reader(path)
     lines = dataset._load_lines(path)
     assert fast.series.tobytes() == lines.series.tobytes()
     assert fast.labels.tolist() == lines.labels.tolist()
@@ -226,7 +233,7 @@ def test_c_reader_is_sized_for_every_row(tmp_path, monkeypatch, end):
         return loadtxt(*args, **kwargs)
 
     monkeypatch.setattr(np, "loadtxt", spy)
-    fast = dataset._load_fast(path)
+    fast = load_ucr(path)
     assert bounds == [dataset._line_bound(path)] and bounds[0] >= 40
     assert fast.series.tobytes() == dataset._load_lines(path).series.tobytes()
 
@@ -239,6 +246,80 @@ def test_line_bound_counts_every_line_end(tmp_path):
     assert dataset._line_bound(path) == 1
     path.write_bytes(b"1,2\n" * 40000)  # past one read block
     assert dataset._line_bound(path) == 40001
+
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+def test_blank_lines_load_with_no_warning(tmp_path, end):
+    # numpy warns of each blank line it skips when given max_rows
+    lines = _generated_text(seed=3, rows=6, n=5).splitlines()
+    path = tmp_path / "d.txt"
+    path.write_bytes(end.join(["", *lines[:2], "", "", *lines[2:], ""]).encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fast = load_ucr(path)
+    lines = dataset._load_lines(path)
+    assert fast.series.tobytes() == lines.series.tobytes()
+    assert fast.labels.tolist() == lines.labels.tolist()
+
+
+def _blocks_outcome(path, rows):
+    """``_read_blocks(path, rows)`` joined, as ``_outcome`` gives a parse; every block but the last holds ``rows`` rows."""
+    try:
+        blocks = list(dataset._read_blocks(path, rows))
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    assert [len(block) for block in blocks[:-1]] == [rows] * (len(blocks) - 1)
+    assert 1 <= len(blocks[-1]) <= rows
+    series = np.concatenate([block.series for block in blocks])
+    return series.shape, series.tobytes(), np.concatenate([block.labels for block in blocks]).tolist()
+
+
+BLOCK_ROWS = pytest.mark.parametrize("rows", [1, 2, 7])
+
+# rows with blank lines, CR and CRLF ends and no final line end, so that
+# block edges of 1, 2 and 7 rows fall on each
+MIXED_ENDS = "".join(
+    line + end for line, end in zip(_generated_text(seed=4, rows=15, n=6).splitlines(),
+                                    ["\n", "\r\n", "\n\n", "\r", "\r\n\r\n", "\n", "\r\r", "\n",
+                                     "\r\n", "\n \n", "\r", "\n", "\r\n", "\n\n\n", ""])
+)
+
+
+@BLOCK_ROWS
+@pytest.mark.parametrize("text", [*PARSER_CASES.values(), MIXED_ENDS], ids=[*PARSER_CASES, "mixed-ends"])
+def test_blocks_join_to_load_ucr(tmp_path, text, rows):
+    path = tmp_path / "d.txt"
+    path.write_bytes(text.encode("utf-8"))
+    assert _blocks_outcome(path, rows) == _outcome(load_ucr, path)
+
+
+@BLOCK_ROWS
+def test_blocks_join_to_load_ucr_with_every_odd_character(tmp_path, rows):
+    path = tmp_path / "d.txt"
+    disagreements = []
+    for c in ODD_CHARACTERS:
+        for text in (f"1,2{c},3", f"1,{c}2,3", f"1{c},2,3", f"{c}1,2,3\n2,3,4{c}",
+                     f"1,2,3\r\n2,3,4\r\n3,4{c},5\n4,5,6"):
+            path.write_bytes(text.encode("utf-8"))
+            if _blocks_outcome(path, rows) != _outcome(load_ucr, path):
+                disagreements.append(text)
+    assert disagreements == []
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("1,2,3", "row has 2 values, expected 6"),
+    ("1,2,x,3,4,5,6", "series value is not a number"),
+    ("1.5,2,3,4,5,6,7", "label '1.5' is not an integer"),
+], ids=["ragged", "bad-value", "fractional-label"])
+def test_error_in_a_later_block_names_its_line(tmp_path, bad, message):
+    lines = _generated_text(seed=5, rows=20, n=6).splitlines()
+    path = tmp_path / "d.txt"
+    path.write_text("\n".join(lines[:9] + ["", bad] + lines[9:]) + "\n")
+    expected = f"UcrFormatError: {path}:11: {message}"
+    assert _outcome(load_ucr, path) == expected
+    for rows in (1, 2, 7):
+        assert _blocks_outcome(path, rows) == expected
 
 
 class TestDatasetPair:
