@@ -100,7 +100,8 @@ class TunedModel:
     and reads as a sequence of ``(SaxWord, label)`` pairs built on demand.
     ``nn1`` scores those rows as they are, with no stacking and no
     per-word check, and with their float32 one-hot (N × m·α values),
-    built on the first ``nn1`` call and kept with the rows.  Rows given here are checked once against ``table``; any other sequence of pairs
+    built on the first ``nn1`` call and kept with the rows.  Rows given
+    here are checked once against ``table``; any other sequence of pairs
     is checked word by word and stored as rows the same way.  Construction sets ``m`` from the words and
     ``alphabet_size`` from ``table``.
     """

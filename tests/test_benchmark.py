@@ -404,9 +404,11 @@ class TestStreamedDirectories:
         assert "UserWarning: dataset 'Unseen': test labels [7, 9]" in runs[1]
 
     def test_streamed_row_holds_a_fraction_of_the_test_split(self, tmp_path):
-        # a 16.4 MB test table read 512 rows at a time: the peak is one 2.1 MB
-        # block, its symbols under one scheme (0.5 MB) and the 1NN filter's
-        # own working set (1.3 MB), 4.4 MB, where loading it whole costs the table
+        # a 16.4 MB test table read 512 rows at a time peaks at 4.4 MB: one
+        # 2.1 MB block while a scheme's means are gathered from it (np.take
+        # copies each strided chunk first), or the block, its 0.5 MB of
+        # symbols and the 1NN filter's 1.3 MB; loaded whole, the table alone
+        # is 16.4 MB
         directory = tmp_path / "Long"
         write_dataset(directory, n=512, n_train=20, n_test=4000)
         config = BenchmarkConfig()
