@@ -408,7 +408,8 @@ class TestStreamedDirectories:
         # 2.1 MB block while a scheme's means are gathered from it (np.take
         # copies each strided chunk first), or the block, its 0.5 MB of
         # symbols and the 1NN filter's 1.3 MB; loaded whole, the table alone
-        # is 16.4 MB
+        # is 16.4 MB.  The bound is a third: the block, its symbols and the
+        # filter's chunk, all sized by _CHUNK_BUDGET, already pass a quarter
         directory = tmp_path / "Long"
         write_dataset(directory, n=512, n_train=20, n_test=4000)
         config = BenchmarkConfig()
