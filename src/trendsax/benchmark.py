@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 from trendsax.classify import DEFAULT_ALPHABET_RANGE, EvaluationReport, _evaluate, _normalized_alphabet_range
 from trendsax.core import _as_integers
 from trendsax.dataset import DatasetPair, _stream_dataset_pair
-from trendsax.distance import _CHUNK_BUDGET
 from trendsax.segmentation import SCHEMES, _check_scheme
 
 if TYPE_CHECKING:
@@ -122,7 +121,7 @@ def _dataset_row(source: DatasetPair | Path, config: BenchmarkConfig) -> Benchma
         if isinstance(source, DatasetPair):
             train, test_blocks = source.train, [source.test]
         else:
-            train, test_blocks = _stream_dataset_pair(source, _CHUNK_BUDGET)
+            train, test_blocks = _stream_dataset_pair(source)
         reports = _evaluate(train, test_blocks, config.schemes, config.word_count_for(train.n),
                             config.alphabet_range, source.name)
         return BenchmarkRow(source.name, dict(zip(config.schemes, reports)))
@@ -201,13 +200,14 @@ def run_benchmark(
     it, except that its test split comes in blocks of about
     ``distance._CHUNK_BUDGET`` values, each scored under every scheme as
     it is read: the test split is never held whole, whatever its size,
-    and the training split only while its row runs.  Datasets are
-    independent, so with ``config.jobs > 1`` they are dispatched to a
-    process pool; results keep input order either way.  A dataset that
-    fails to load or to score, or whose worker process dies, is recorded
-    as a failed row, not fatal.  A row lost with a dead worker is run
-    again alone in a fresh one-worker pool, so a crash costs only the
-    dataset that causes it.
+    unless numpy's reader refuses a block and the line parser reads the
+    file whole; the training split is held only while its row runs.
+    Datasets are independent, so with ``config.jobs > 1`` they are
+    dispatched to a process pool; results keep input order either way.
+    A dataset that fails to load or to score, or whose worker process
+    dies, is recorded as a failed row, not fatal.  A row lost with a
+    dead worker is run again alone in a fresh one-worker pool, so a
+    crash costs only the dataset that causes it.
     """
     config = config or BenchmarkConfig()
     pairs = tuple(p if isinstance(p, DatasetPair) else Path(p) for p in pairs)

@@ -99,6 +99,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     m = config.word_count_for(data.n)
     seg = segment(scheme, data.n, m)
     rows = _symbols(data._means(seg), table)
+    rows.flags.writeable = False  # each word keeps its row as it is, not a copy
     records = [
         (index, int(label), SaxWord(row, table.alphabet_size, seg.n_effective).to_letters())
         for index, (row, label) in enumerate(zip(rows, data.labels))

@@ -162,7 +162,7 @@ def _block_means(x: np.ndarray, seg: Segmentation, mean: np.ndarray | None = Non
     out = np.empty((x.shape[0], seg.m))
     step = max(1, _CHUNK_VALUES // seg.n_effective)
     for i0 in range(0, x.shape[0], step):
-        g = np.take(x[i0:i0 + step], seg.blocks.T, axis=1)
+        g = x[i0:i0 + step, seg.blocks.T]
         if mean is not None:
             g -= mean[i0:i0 + step, :, None]
             g /= sd[i0:i0 + step, :, None]
@@ -171,28 +171,28 @@ def _block_means(x: np.ndarray, seg: Segmentation, mean: np.ndarray | None = Non
         for k in range(1, seg.w):
             total += g[:, k]
         total /= seg.w
+        del g  # so the next chunk is gathered with this one freed
     out.flags.writeable = False
     return out
 
 
 def _symbols(means: np.ndarray, table: AlphabetTable) -> np.ndarray:
-    """Each mean's symbol under ``table``, the number of its breakpoints strictly below it, read-only int64.
+    """Each mean's symbol under ``table``, the number of its breakpoints strictly below it, a new int64 array.
 
     Up to ``_SEARCH_MEANS`` means, a word's or a bound audit's, take
     ``np.searchsorted``, the faster up to about 1,000 means.  More, a
     split's, are counted ``means > b`` per breakpoint into uint8, which at
     most ``MAX_ALPHABET - 1`` breakpoints cannot overflow; the count is the
-    faster from about 2,000 means.
+    faster from about 2,000 means.  The result is writable: ``np.take``
+    copies a read-only index first, and ``distance._nearest`` gathers by
+    it.  A caller that keeps it, a word or a model, makes it read-only.
     """
     if means.size <= _SEARCH_MEANS:
-        symbols = np.searchsorted(table.breakpoints, means, side="left").astype(np.int64, copy=False)
-    else:
-        count = np.zeros(means.shape, dtype=np.uint8)
-        for b in table.breakpoints:
-            count += means > b
-        symbols = count.astype(np.int64)
-    symbols.flags.writeable = False
-    return symbols
+        return np.searchsorted(table.breakpoints, means, side="left").astype(np.int64, copy=False)
+    count = np.zeros(means.shape, dtype=np.uint8)
+    for b in table.breakpoints:
+        count += means > b
+    return count.astype(np.int64)
 
 
 # Rational approximation coefficients for the standard-normal quantile
@@ -405,4 +405,6 @@ def symbolize(vector: PaaVector, table: AlphabetTable) -> SaxWord:
     the interval below it.  Equivalently, the symbol index is the number of
     breakpoints strictly less than the mean.
     """
-    return SaxWord(_symbols(vector.means, table), table.alphabet_size, vector.source_length)
+    symbols = _symbols(vector.means, table)
+    symbols.flags.writeable = False  # kept by the word as it is, not copied
+    return SaxWord(symbols, table.alphabet_size, vector.source_length)

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from trendsax import core
+from trendsax import core, distance
 from trendsax.core import _as_integers, _read_only
 from trendsax.segmentation import Segmentation
 
@@ -317,11 +317,12 @@ def load_dataset_pair(directory) -> DatasetPair:
     return DatasetPair(directory.name, train, test)
 
 
-def _stream_dataset_pair(directory, values: int) -> tuple[LabeledDataset, Iterator[LabeledDataset]]:
-    """``load_dataset_pair(directory)``'s splits, the test split as blocks of about ``values`` values.
+def _stream_dataset_pair(directory) -> tuple[LabeledDataset, Iterator[LabeledDataset]]:
+    """``load_dataset_pair(directory)``'s splits, the test split as blocks of about ``distance._CHUNK_BUDGET`` values.
 
     The training split is loaded whole; the test split comes from
-    ``_read_blocks`` in blocks of ``max(1, values // n)`` rows, each read
+    ``_read_blocks`` in blocks of ``max(1, _CHUNK_BUDGET // n)`` rows,
+    the budget that also sizes each block's scoring chunks, each read
     when it is asked for and freed before the next is read, so one block
     is held at a time.  Its first block is read here, so a missing, empty
     or malformed start of the test file, or a series length that differs
@@ -331,7 +332,7 @@ def _stream_dataset_pair(directory, values: int) -> tuple[LabeledDataset, Iterat
     """
     directory = _dataset_directory(directory)
     train = load_ucr(_find_split(directory, "TRAIN"))
-    blocks = _read_blocks(_find_split(directory, "TEST"), max(1, values // train.n))
+    blocks = _read_blocks(_find_split(directory, "TEST"), max(1, distance._CHUNK_BUDGET // train.n))
     first = next(blocks)
     _check_lengths(directory.name, train, first)
     # chain keeps its arguments to the end: the list's iterator drops the first block once given, the list would not

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trendsax import benchmark
+from trendsax import benchmark, distance
 from trendsax.benchmark import (
     BenchmarkConfig,
     BenchmarkMatrix,
@@ -364,7 +364,7 @@ class TestStreamedDirectories:
     @pytest.fixture
     def small_blocks(self, monkeypatch):
         # 4 rows of 16 values a block
-        monkeypatch.setattr(benchmark, "_CHUNK_BUDGET", 64)
+        monkeypatch.setattr(distance, "_CHUNK_BUDGET", 64)
 
     @pytest.mark.parametrize("damage", TEST_DAMAGE.values(), ids=TEST_DAMAGE.keys())
     def test_failed_row_matches_the_loaded_pair(self, tmp_path, damage, small_blocks):
@@ -404,12 +404,10 @@ class TestStreamedDirectories:
         assert "UserWarning: dataset 'Unseen': test labels [7, 9]" in runs[1]
 
     def test_streamed_row_holds_a_fraction_of_the_test_split(self, tmp_path):
-        # a 16.4 MB test table read 512 rows at a time peaks at 4.4 MB: one
-        # 2.1 MB block while a scheme's means are gathered from it (np.take
-        # copies each strided chunk first), or the block, its 0.5 MB of
-        # symbols and the 1NN filter's 1.3 MB; loaded whole, the table alone
-        # is 16.4 MB.  The bound is a third: the block, its symbols and the
-        # filter's chunk, all sized by _CHUNK_BUDGET, already pass a quarter
+        # a 16.4 MB test table read 512 rows at a time peaks at 4.0 MB, in
+        # the 1NN filter: the 2.1 MB block, its 0.5 MB of symbols, the
+        # filter's 1.0 MB chunk of squared entries and its 0.2 MB one-hot;
+        # loaded whole, the table alone is 16.4 MB
         directory = tmp_path / "Long"
         write_dataset(directory, n=512, n_train=20, n_test=4000)
         config = BenchmarkConfig()
@@ -421,7 +419,7 @@ class TestStreamedDirectories:
         finally:
             tracemalloc.stop()
         assert row == loaded.rows[0] and row.error is None
-        assert peak < 4000 * 512 * 8 / 3
+        assert peak < 4000 * 512 * 8 / 4
 
     def test_jobs_do_not_change_the_report(self, tmp_path):
         # 2**18 // 2048 = 128 rows a block, in the workers too

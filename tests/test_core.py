@@ -447,7 +447,8 @@ class TestSymbolize:
             for threshold in (default, 0, means.size + 1):
                 monkeypatch.setattr(core, "_SEARCH_MEANS", threshold)
                 symbols = core._symbols(means, table)
-                assert symbols.dtype == np.int64 and not symbols.flags.writeable
+                # writable, so that np.take gathers by it without a copy
+                assert symbols.dtype == np.int64 and symbols.flags.writeable
                 assert np.array_equal(symbols, want), (table.alphabet_size, threshold)
 
     def test_every_caller_takes_its_symbols_from_core(self, monkeypatch, mini_dir, capsys):

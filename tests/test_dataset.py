@@ -232,10 +232,20 @@ def test_c_reader_is_sized_for_every_row(tmp_path, monkeypatch, end):
         bounds.append(kwargs["max_rows"])
         return loadtxt(*args, **kwargs)
 
+    lines = dataset._load_lines(path)
     monkeypatch.setattr(np, "loadtxt", spy)
+    _without_line_parser(monkeypatch)
     fast = load_ucr(path)
     assert bounds == [dataset._line_bound(path)] and bounds[0] >= 40
-    assert fast.series.tobytes() == dataset._load_lines(path).series.tobytes()
+    assert fast.series.tobytes() == lines.series.tobytes()
+
+
+def _without_line_parser(monkeypatch):
+    """Fail any fallback to the line parser, so a file must pass numpy's reader."""
+    def refuse(path):
+        raise AssertionError(f"{path} fell back to the line parser")
+
+    monkeypatch.setattr(dataset, "_load_lines", refuse)
 
 
 def test_line_bound_counts_every_line_end(tmp_path):
@@ -248,17 +258,17 @@ def test_line_bound_counts_every_line_end(tmp_path):
     assert dataset._line_bound(path) == 40001
 
 
-
 @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
-def test_blank_lines_load_with_no_warning(tmp_path, end):
+def test_blank_lines_load_with_no_warning(tmp_path, monkeypatch, end):
     # numpy warns of each blank line it skips when given max_rows
     lines = _generated_text(seed=3, rows=6, n=5).splitlines()
     path = tmp_path / "d.txt"
     path.write_bytes(end.join(["", *lines[:2], "", "", *lines[2:], ""]).encode())
+    lines = dataset._load_lines(path)
+    _without_line_parser(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         fast = load_ucr(path)
-    lines = dataset._load_lines(path)
     assert fast.series.tobytes() == lines.series.tobytes()
     assert fast.labels.tolist() == lines.labels.tolist()
 
@@ -292,6 +302,16 @@ def test_blocks_join_to_load_ucr(tmp_path, text, rows):
     path = tmp_path / "d.txt"
     path.write_bytes(text.encode("utf-8"))
     assert _blocks_outcome(path, rows) == _outcome(load_ucr, path)
+
+
+@BLOCK_ROWS
+def test_blocks_of_mixed_ends_take_the_c_reader(tmp_path, monkeypatch, rows):
+    # numpy reads a line of spaces as a row of one field, which the line parser must judge
+    path = tmp_path / "d.txt"
+    path.write_bytes(MIXED_ENDS.replace("\n \n", "\n\n").encode("utf-8"))
+    expected = _outcome(load_ucr, path)
+    _without_line_parser(monkeypatch)
+    assert _blocks_outcome(path, rows) == expected
 
 
 @BLOCK_ROWS
