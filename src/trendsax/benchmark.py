@@ -1,10 +1,11 @@
 """Multi-dataset evaluation matrix and report rendering.
 
 A benchmark tunes and scores every requested segmentation scheme on
-every dataset as :func:`trendsax.classify.evaluate` does, each test split
-scored once for all schemes, then renders the resulting matrix as CSV,
-JSON, or an aligned text table.  Output is deterministic: given
-the same inputs it is byte-identical regardless of worker count.
+every dataset as :func:`trendsax.classify.evaluate` does, each test
+split scored once for all schemes (``_dataset_reports``, which
+``trendsax evaluate`` also calls), then renders the resulting matrix as
+CSV, JSON, or an aligned text table.  Output is deterministic: given the
+same inputs it is byte-identical regardless of worker count.
 """
 
 from __future__ import annotations
@@ -116,15 +117,18 @@ class BenchmarkMatrix:
         return min((report.test_error for report in row.reports.values()), default=None)
 
 
+def _dataset_reports(source: DatasetPair | Path, config: BenchmarkConfig) -> list[EvaluationReport]:
+    """``config.schemes``' reports on ``source``, for a benchmark row or ``trendsax evaluate``; any failure raises."""
+    if isinstance(source, DatasetPair):
+        train, blocks = source.train, [source.test]
+    else:
+        train, blocks = _stream_dataset_pair(source)
+    return _evaluate(train, blocks, config.schemes, config.word_count_for(train.n), config.alphabet_range, source.name)
+
+
 def _dataset_row(source: DatasetPair | Path, config: BenchmarkConfig) -> BenchmarkRow:
     try:
-        if isinstance(source, DatasetPair):
-            train, test_blocks = source.train, [source.test]
-        else:
-            train, test_blocks = _stream_dataset_pair(source)
-        reports = _evaluate(train, test_blocks, config.schemes, config.word_count_for(train.n),
-                            config.alphabet_range, source.name)
-        return BenchmarkRow(source.name, dict(zip(config.schemes, reports)))
+        return BenchmarkRow(source.name, dict(zip(config.schemes, _dataset_reports(source, config))))
     except Exception as exc:
         return _failed_row(source, exc)
 
@@ -196,12 +200,12 @@ def run_benchmark(
     """Evaluate every scheme on every dataset.
 
     Each dataset is a loaded :class:`DatasetPair` or a directory read
-    inside the row, as :func:`~trendsax.dataset.load_dataset_pair` reads
-    it, except that its test split comes in blocks of about
-    ``distance._CHUNK_BUDGET`` values, each scored under every scheme as
-    it is read: the test split is never held whole, whatever its size,
-    unless numpy's reader refuses a block and the line parser reads the
-    file whole; the training split is held only while its row runs.
+    inside the row, as ``trendsax evaluate`` reads one: its test split
+    comes in blocks of about ``distance._CHUNK_BUDGET`` values, each scored
+    under every scheme as it is read, and is held whole only if numpy's
+    reader refuses a block (an empty field, or a number form that only
+    ``float()`` reads) and the line parser reads the file; the training
+    split is held only while its row runs.
     Datasets are independent, so with ``config.jobs > 1`` they are
     dispatched to a process pool; results keep input order either way.
     A dataset that fails to load or to score, or whose worker process

@@ -1,13 +1,14 @@
 """Command line front end.
 
 Four subcommands cover the library surface: ``convert`` dumps the word
-for every instance of a series file, ``verify-bound`` fuzzes the
-distance lower bound on random pairs, ``evaluate`` scores one dataset
-under one scheme, and ``benchmark`` builds the full scheme-by-dataset
-matrix.  Exit status is 0 on success, 1 on operational failure (bad
-input files, a bound violation), 2 on usage errors.  A benchmark
-dataset that fails to load or to score becomes a failed row: the report
-is still written, the failure goes to stderr, and the exit status is 1.
+for every instance of a series file, ``verify-bound`` fuzzes the distance
+lower bound on random pairs, ``evaluate`` scores one dataset under one
+scheme as a benchmark row does, and ``benchmark`` builds the
+scheme-by-dataset matrix.  Exit status is 0 on success, 1 on operational
+failure (bad input files, a bound violation), 2 on usage errors.  A
+benchmark dataset that fails to load or to score becomes a failed row:
+the report is still written, the failure goes to stderr, and the exit
+status is 1.
 """
 
 from __future__ import annotations
@@ -23,13 +24,14 @@ from trendsax.benchmark import (
     BenchmarkConfig,
     REPORT_FORMATS,
     _csv_text,
+    _dataset_reports,
     emit_report,
     report_fields,
     run_benchmark,
 )
-from trendsax.classify import DEFAULT_ALPHABET_RANGE, evaluate
+from trendsax.classify import DEFAULT_ALPHABET_RANGE
 from trendsax.core import SaxWord, _symbols, make_alphabet_table
-from trendsax.dataset import _discover_datasets, load_dataset_pair, load_ucr
+from trendsax.dataset import _discover_datasets, load_ucr
 from trendsax.distance import verify_lower_bound
 from trendsax.segmentation import SCHEMES, segment
 
@@ -144,12 +146,9 @@ def _cmd_verify_bound(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    scheme = _single_scheme_from(args.scheme)
-    config = BenchmarkConfig(schemes=(scheme,), alphabet_range=args.alphabet_range,
+    config = BenchmarkConfig(schemes=(_single_scheme_from(args.scheme),), alphabet_range=args.alphabet_range,
                              word_count=args.word_count, ratio=args.ratio)
-    pair = load_dataset_pair(args.dataset)
-    report = evaluate(pair.train, pair.test, scheme, config.word_count_for(pair.train.n),
-                      config.alphabet_range, pair.name)
+    [report] = _dataset_reports(Path(args.dataset), config)
     record = {"dataset": report.dataset, "scheme": report.scheme, **report_fields(report)}
     if args.format == "json":
         text = json.dumps(record, indent=2) + "\n"

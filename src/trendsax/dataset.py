@@ -146,21 +146,22 @@ def _read_blocks(path: Path, rows: int) -> Iterator[LabeledDataset]:
     """``load_ucr(path)`` as consecutive blocks of at most ``rows`` rows, each read when it is asked for.
 
     The file is opened once, in text mode, whose lines end where the
-    grammar's do.  A block is numpy's C reader on the next ``rows`` rows
-    (``_read_table``), which stops after its last row, so the next block
-    starts where it ended; a block starts only at a line that is not blank,
-    so the reader never meets an exhausted file.  When a block fails, or
-    its width differs from the first block's, the line parser reads the
-    whole file: it raises the error ``load_ucr`` gives, or gives equal
-    rows, and the rows not yet given follow from it.
+    grammar's do, and ``str.strip``, the line parser's own blank-line test,
+    drops its blank lines, so numpy's reader never sees one.  A block is
+    numpy's C reader on the next ``rows`` lines (``_read_table``), which
+    stops after its last row, so the next block starts where it ended.  When
+    a block fails, or its width differs from the first block's, the line
+    parser reads the whole file: it raises the error ``load_ucr`` gives, or
+    gives equal rows, and the rows not yet given follow from it.
     """
     given = 0
     try:
         with path.open() as fh:
+            lines = filter(str.strip, fh)
             delimiter = width = None
-            while (line := next(filter(str.strip, fh), None)) is not None:
+            while (line := next(lines, None)) is not None:
                 delimiter = delimiter or _detect_delimiter(line.strip())
-                block = _read_table(chain([line], fh), delimiter, rows)
+                block = _read_table(chain([line], lines), delimiter, rows)
                 if block.n != (width or block.n):
                     raise ValueError("rows of different widths")
                 width, given = block.n, given + len(block)
@@ -180,13 +181,9 @@ def _read_table(lines, delimiter: str, rows: int) -> LabeledDataset:
 
     A non-finite label, a label more than 1e-6 from an integer or a table
     that ``LabeledDataset`` refuses (no values, a non-finite value, a label
-    outside int64) is left to the line parser.  numpy warns of each blank
-    line it skips short of ``max_rows``; the grammar skips blank lines, so
-    that warning alone is silenced.
+    outside int64) is left to the line parser.
     """
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", r"Input line \d+ contained no data", UserWarning)
-        table = np.loadtxt(lines, delimiter=delimiter, comments=None, ndmin=2, dtype=np.float64, max_rows=rows)
+    table = np.loadtxt(lines, delimiter=delimiter, comments=None, ndmin=2, dtype=np.float64, max_rows=rows)
     labels = np.round(table[:, 0])
     # finite first: an infinite label would warn in the subtraction
     if not np.isfinite(table[:, 0]).all() or (np.abs(table[:, 0] - labels) > 1e-6).any():
@@ -320,15 +317,14 @@ def load_dataset_pair(directory) -> DatasetPair:
 def _stream_dataset_pair(directory) -> tuple[LabeledDataset, Iterator[LabeledDataset]]:
     """``load_dataset_pair(directory)``'s splits, the test split as blocks of about ``distance._CHUNK_BUDGET`` values.
 
+    A benchmark row and ``trendsax evaluate`` read a directory this way.
     The training split is loaded whole; the test split comes from
-    ``_read_blocks`` in blocks of ``max(1, _CHUNK_BUDGET // n)`` rows,
-    the budget that also sizes each block's scoring chunks, each read
-    when it is asked for and freed before the next is read, so one block
-    is held at a time.  Its first block is read here, so a missing, empty
-    or malformed start of the test file, or a series length that differs
-    from the training split's, raises here as ``load_dataset_pair``
-    raises it.  The unseen-label warning of ``DatasetPair`` comes once,
-    after the last block.
+    ``_read_blocks`` in blocks of ``max(1, _CHUNK_BUDGET // n)`` rows, one
+    held at a time unless the line parser reads the file whole.  The first
+    block is read here, so a missing, empty or malformed start of the test
+    file, or a series length that differs from the training split's,
+    raises here as ``load_dataset_pair`` raises it.  The unseen-label
+    warning of ``DatasetPair`` comes once, after the last block.
     """
     directory = _dataset_directory(directory)
     train = load_ucr(_find_split(directory, "TRAIN"))

@@ -4,12 +4,16 @@ import json
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
+from test_benchmark import TEST_DAMAGE, write_dataset
 
-from trendsax import cli
-from trendsax.benchmark import read_report_csv
+from trendsax import cli, distance
+from trendsax.benchmark import read_report_csv, report_fields
+from trendsax.classify import evaluate
 from trendsax.cli import _parse_alphabet_range, build_parser, main
+from trendsax.dataset import UcrFormatError, load_dataset_pair, load_ucr
 from trendsax.distance import LowerBoundReport
 from trendsax.segmentation import SCHEMES
 
@@ -260,6 +264,38 @@ class TestEvaluate:
         assert code == 1
         assert out == ""
         assert err == f"error: {message}\n"
+
+    def test_streams_the_test_split_as_a_benchmark_row_does(self, tmp_path, capsys):
+        # the test table is 16.4 MB; read in blocks and scored as they are read,
+        # it never exists whole
+        directory = tmp_path / "Long"
+        write_dataset(directory, n=512, n_train=20, n_test=4000)
+        pair = load_dataset_pair(directory)
+        # also makes every lazy import before tracing
+        report = evaluate(pair.train, pair.test, "classic", pair.train.n // 4, (3, 4, 5), pair.name)
+        del pair
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(["evaluate", str(directory), "--alphabet-range", "3:5", "--format", "json"],
+                                     capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"dataset": "Long", "scheme": "classic", **report_fields(report)}
+        assert peak < 4000 * 512 * 8 / 4
+
+    def test_bad_value_in_a_later_test_block_names_its_line(self, tmp_path, monkeypatch, capsys):
+        directory = tmp_path / "Damaged"
+        write_dataset(directory, n=16, n_train=12, n_test=30)
+        test = directory / "Damaged_TEST.txt"
+        TEST_DAMAGE["bad-value-in-a-later-block"](test)
+        with pytest.raises(UcrFormatError) as raised:
+            load_ucr(test)
+        monkeypatch.setattr(distance, "_CHUNK_BUDGET", 64)  # 4 rows of 16 values a block
+        code, out, err = run_cli(["evaluate", str(directory), "--alphabet-range", "3:5"], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: {raised.value}\n" == f"error: {test}:26: series value is not a number\n"
 
 
 class TestBenchmark:

@@ -287,12 +287,14 @@ def _blocks_outcome(path, rows):
 
 BLOCK_ROWS = pytest.mark.parametrize("rows", [1, 2, 7])
 
-# rows with blank lines, CR and CRLF ends and no final line end, so that
-# block edges of 1, 2 and 7 rows fall on each
+# rows with blank lines, lines of a space, a tab or a form feed, CR and CRLF
+# ends and no final line end, so that block edges of 1, 2 and 7 rows fall on
+# each; each line of white space sits at a block edge for 2 or 7 rows and
+# inside a block of the other
 MIXED_ENDS = "".join(
     line + end for line, end in zip(_generated_text(seed=4, rows=15, n=6).splitlines(),
-                                    ["\n", "\r\n", "\n\n", "\r", "\r\n\r\n", "\n", "\r\r", "\n",
-                                     "\r\n", "\n \n", "\r", "\n", "\r\n", "\n\n\n", ""])
+                                    ["\n", "\r\n", "\n\n", "\r", "\r\n\r\n", "\n", "\r\r\x0c\r", "\n",
+                                     "\r\n", "\n \n", "\r", "\n\t\n", "\r\n", "\n\n\n", ""])
 )
 
 
@@ -306,9 +308,8 @@ def test_blocks_join_to_load_ucr(tmp_path, text, rows):
 
 @BLOCK_ROWS
 def test_blocks_of_mixed_ends_take_the_c_reader(tmp_path, monkeypatch, rows):
-    # numpy reads a line of spaces as a row of one field, which the line parser must judge
     path = tmp_path / "d.txt"
-    path.write_bytes(MIXED_ENDS.replace("\n \n", "\n\n").encode("utf-8"))
+    path.write_bytes(MIXED_ENDS.encode("utf-8"))
     expected = _outcome(load_ucr, path)
     _without_line_parser(monkeypatch)
     assert _blocks_outcome(path, rows) == expected

@@ -186,3 +186,19 @@ def test_finds_used_names():
 def test_each_format_is_used_only_by_its_owners(path):
     used = names_used(path.read_text())
     assert [name for name, users in FORMAT_USERS.items() if name in used and path.stem not in users] == []
+
+
+# only benchmark turns a dataset directory into reports, so `trendsax evaluate`
+# runs a benchmark row's code: the streamed test split and the scoring of its
+# blocks are used by the module that defines each and by benchmark alone
+REPORT_PATH_USERS = {
+    "_evaluate": {"classify", "benchmark"},
+    "_stream_dataset_pair": {"dataset", "benchmark"},
+}
+
+
+def test_only_benchmark_turns_a_directory_into_reports():
+    used = {path.stem: names_used(path.read_text()) for path in SOURCES}
+    for name, users in REPORT_PATH_USERS.items():
+        assert {stem for stem, names in used.items() if name in names} <= users, name
+    assert used["cli"] & {"load_dataset_pair", "evaluate"} == set()
