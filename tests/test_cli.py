@@ -4,11 +4,11 @@ import json
 import shutil
 import subprocess
 import sys
-import tracemalloc
 
 import pytest
-from test_benchmark import TEST_DAMAGE, write_dataset
 
+from test_benchmark import TEST_DAMAGE, write_dataset
+from test_distance import tracemalloc_peak
 from trendsax import cli, distance
 from trendsax.benchmark import read_report_csv, report_fields
 from trendsax.classify import evaluate
@@ -273,16 +273,10 @@ class TestEvaluate:
         pair = load_dataset_pair(directory)
         # also makes every lazy import before tracing
         report = evaluate(pair.train, pair.test, "classic", pair.train.n // 4, (3, 4, 5), pair.name)
-        del pair
-        tracemalloc.start()
-        try:
-            code, out, err = run_cli(["evaluate", str(directory), "--alphabet-range", "3:5", "--format", "json"],
-                                     capsys)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert (code, err) == (0, "")
-        assert json.loads(out) == {"dataset": "Long", "scheme": "classic", **report_fields(report)}
+        peak = tracemalloc_peak(main, ["evaluate", str(directory), "--alphabet-range", "3:5", "--format", "json"])
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out) == {"dataset": "Long", "scheme": "classic", **report_fields(report)}
         assert peak < 4000 * 512 * 8 / 4
 
     def test_bad_value_in_a_later_test_block_names_its_line(self, tmp_path, monkeypatch, capsys):
