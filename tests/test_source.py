@@ -150,7 +150,10 @@ def test_only_the_table_squares_its_distances(path):
 # an internal format and the modules that may use it: its owner and the layer that
 # consumes it; the bound audit takes block means of raw pairs, so distance may too;
 # the zero rule for constant rows, and the choice between searching and counting
-# symbols, have core as their one user
+# symbols, have core as their one user; only benchmark turns a dataset directory
+# into reports, so `trendsax evaluate` runs a benchmark row's code: the streamed
+# test split and the scoring of its blocks have benchmark as their one user
+# outside their module, and the whole-split path is the package's alone
 FORMAT_USERS = {
     "_sq": {"core", "distance"},
     "_sq32": {"core", "distance"},
@@ -160,6 +163,10 @@ FORMAT_USERS = {
     "_DEGENERATE_STD": {"core"},
     "_SEARCH_MEANS": {"core"},
     "searchsorted": {"core"},
+    "_evaluate": {"classify", "benchmark"},
+    "_stream_dataset_pair": {"dataset", "benchmark"},
+    "evaluate": {"classify", "__init__"},
+    "load_dataset_pair": {"dataset", "__init__"},
 }
 
 
@@ -187,18 +194,3 @@ def test_each_format_is_used_only_by_its_owners(path):
     used = names_used(path.read_text())
     assert [name for name, users in FORMAT_USERS.items() if name in used and path.stem not in users] == []
 
-
-# only benchmark turns a dataset directory into reports, so `trendsax evaluate`
-# runs a benchmark row's code: the streamed test split and the scoring of its
-# blocks are used by the module that defines each and by benchmark alone
-REPORT_PATH_USERS = {
-    "_evaluate": {"classify", "benchmark"},
-    "_stream_dataset_pair": {"dataset", "benchmark"},
-}
-
-
-def test_only_benchmark_turns_a_directory_into_reports():
-    used = {path.stem: names_used(path.read_text()) for path in SOURCES}
-    for name, users in REPORT_PATH_USERS.items():
-        assert {stem for stem, names in used.items() if name in names} <= users, name
-    assert used["cli"] & {"load_dataset_pair", "evaluate"} == set()
